@@ -161,19 +161,6 @@ func BenchmarkProtocolWTS(b *testing.B) {
 	}
 }
 
-func BenchmarkSubstrateSteiner(b *testing.B) {
-	tr := benchTopo(b)
-	sc := topology.NewSteinerScratch(tr)
-	vs := tr.ComputeNodes()
-	dsts := []topology.NodeID{vs[3], vs[7], vs[11]}
-	var buf []topology.EdgeID
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = tr.Steiner(buf[:0], sc, vs[0], dsts)
-	}
-}
-
 func BenchmarkSubstratePackLemma5(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	sides := make([]int64, 64)

@@ -13,10 +13,10 @@ import (
 // Determinism harness: the full Report of every registry task — per-edge
 // traffic, per-node sent/received, float-exact round costs, message and
 // element counts — must be byte-identical between a serial run (Workers=1)
-// and a parallel run (Workers=8). The fuzz equivalence tests compare the
-// Exchange runtime against the per-message reference; this harness instead
-// catches future races or order-dependent accounting that only differ
-// across worker counts.
+// and a parallel run (Workers=8). The netsim fuzz equivalence tests hold
+// the Exchange runtime to a naive path-walk oracle that lives in a test
+// file; this harness instead catches future races or order-dependent
+// accounting that only differ across worker counts.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	for _, topo := range []string{"twotier-skew", "caterpillar", "caterpillar-grade", "ring-of-racks"} {
 		topo := topo

@@ -79,49 +79,6 @@ func TestExchangeSteadyStateAllocFreeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestParallelSteadyStateAllocFree pins that Round.Parallel recycles its
-// outbox arena: once warm, a Parallel round allocates exactly what the
-// same traffic costs through the plain Round API (BeginRound's stats
-// arrays), i.e. the fan-out machinery itself contributes zero allocations.
-func TestParallelSteadyStateAllocFree(t *testing.T) {
-	tr := benchCaterpillar(t)
-	vs := tr.ComputeNodes()
-	e := NewEngine(tr, WithWorkers(1), WithLeanStats())
-
-	body := func(v topology.NodeID, out *Outbox) {
-		d := vs[(int(v)+3)%len(vs)]
-		out.Send(d, TagData, []uint64{uint64(v), uint64(v) + 1})
-	}
-	parRound := func() {
-		rd := e.BeginRound()
-		rd.Parallel(body)
-		rd.Finish()
-	}
-	serialRound := func() {
-		rd := e.BeginRound()
-		var ob Outbox
-		for _, v := range vs {
-			body(v, &ob)
-			for j, to := range ob.to {
-				rd.Send(v, to, ob.tag[j], ob.keys[j])
-			}
-			ob.reset()
-		}
-		rd.Finish()
-	}
-
-	// Warm the arenas and pre-grow the round-stats slice past the measured
-	// window so append growth cannot skew either measurement.
-	for i := 0; i < 40; i++ {
-		parRound()
-	}
-	base := testing.AllocsPerRun(5, serialRound)
-	par := testing.AllocsPerRun(5, parRound)
-	if par > base {
-		t.Fatalf("steady-state Parallel round allocates %.1f/op, plain Round API %.1f/op; want no extra", par, base)
-	}
-}
-
 // TestLeanStatsReportMatches runs the same workload on a default and a
 // lean-stats engine and checks that every aggregate report query agrees;
 // lean mode must only drop per-round array inspection, never change totals.

@@ -8,8 +8,8 @@ import (
 )
 
 // benchCaterpillar builds a deep caterpillar: a 256-router spine with one
-// compute leg per router (512 nodes total), the worst case for per-message
-// path walking because a random unicast crosses O(spine length) links.
+// compute leg per router (512 nodes total), where a random unicast crosses
+// O(spine length) links.
 func benchCaterpillar(tb testing.TB) *topology.Tree {
 	spine := make([]float64, 256)
 	for i := range spine {
@@ -47,31 +47,9 @@ func benchTransferBatch(t *topology.Tree, count int) []benchTransfer {
 	return out
 }
 
-// BenchmarkRoutingPerSend accounts one round of 4096 transfers on the
-// 256-spine caterpillar with the legacy per-message Round API: every
-// unicast walks its O(depth) tree path.
-func BenchmarkRoutingPerSend(b *testing.B) {
-	tr := benchCaterpillar(b)
-	batch := benchTransferBatch(tr, 4096)
-	e := NewEngine(tr)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd := e.BeginRound()
-		for _, tf := range batch {
-			if tf.dsts == nil {
-				rd.Send(tf.from, tf.to, TagData, tf.keys)
-			} else {
-				rd.Multicast(tf.from, tf.dsts, TagData, tf.keys)
-			}
-		}
-		rd.Finish()
-	}
-}
-
-// BenchmarkRoutingExchange accounts the identical round through the
-// exchange plan: O(1) tree-difference deltas per unicast and one
-// subtree-sum sweep, sharded across workers.
+// BenchmarkRoutingExchange accounts one round of 4096 transfers on the
+// 256-spine caterpillar through the exchange plan: O(1) tree-difference
+// deltas per unicast and one subtree-sum sweep, sharded across workers.
 func BenchmarkRoutingExchange(b *testing.B) {
 	tr := benchCaterpillar(b)
 	batch := benchTransferBatch(tr, 4096)
@@ -92,7 +70,7 @@ func BenchmarkRoutingExchange(b *testing.B) {
 }
 
 // BenchmarkRoutingExchangeSerial is the exchange path pinned to one worker,
-// isolating the algorithmic win from parallelism.
+// isolating the accounting cost from parallelism.
 func BenchmarkRoutingExchangeSerial(b *testing.B) {
 	tr := benchCaterpillar(b)
 	batch := benchTransferBatch(tr, 4096)

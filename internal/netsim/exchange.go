@@ -11,15 +11,13 @@ import (
 // sender — and Execute then routes, accounts, and delivers the whole plan
 // in one pass.
 //
-// Unlike the per-message Round API, which walks the tree path of every
-// Send (O(depth) each), Execute aggregates per-edge traffic with
-// tree-difference counting over the LCA index: each unicast contributes
-// O(1) node deltas, each multicast charges its Steiner tree through the
-// terminal virtual tree, and a single subtree-sum sweep produces the edge
-// counts — O(V + M) for M transfers. Accounting is sharded across workers
-// by sender; determinism is preserved because per-edge sums are
-// order-independent and deliveries are merged in compute-node order
-// exactly as Round.Parallel does.
+// Execute aggregates per-edge traffic with tree-difference counting over
+// the LCA index: each unicast contributes O(1) node deltas, each multicast
+// charges its Steiner tree through the terminal virtual tree, and a single
+// subtree-sum sweep produces the edge counts — O(V + M) for M transfers.
+// Accounting is sharded across workers by sender; determinism is preserved
+// because per-edge sums are order-independent and deliveries are merged in
+// compute-node order, then op order.
 //
 // Exchange values are owned by the engine: Engine.Exchange hands out one
 // of two alternating buffers whose outboxes persist across rounds, so a
@@ -27,13 +25,77 @@ import (
 // what permits pipelining — ExecuteAsync finishes accounting of round r in
 // the background while the protocol plans round r+1 into the other buffer.
 //
-// An Exchange and a Round cannot be open on the same engine at once; the
-// exchange occupies the engine from Exchange() until Execute().
+// At most one exchange is open on an engine at a time; the exchange
+// occupies the engine from Exchange() until Execute().
 type Exchange struct {
 	e    *Engine
 	outs []Outbox // one per compute node, in ComputeNodes order
 	t0   float64  // trace timestamp of Exchange() (tracing only)
 	done bool
+}
+
+// Outbox collects the transfers one compute node queues for an exchange.
+// It is not safe for concurrent use; each node gets its own.
+//
+// The layout is struct-of-arrays: one entry per queued op across five
+// parallel slices, with multicast destination lists packed into a shared
+// pool. Outboxes are owned by the engine and recycled across rounds by
+// truncation, so steady-state planning appends into buffers that are
+// already grown to the protocol's working set and performs no heap
+// allocation.
+type Outbox struct {
+	to   []topology.NodeID // per op; NoNode marks a multicast
+	tag  []Tag
+	keys [][]uint64
+	dlo  []int32 // multicast destination range [dlo, dhi) in pool
+	dhi  []int32
+	pool []topology.NodeID // packed multicast destinations (copied)
+}
+
+// Send queues a unicast along the unique tree path to a compute node,
+// charging every link once. A self-send is free and is still delivered
+// (the node keeps its own data without touching the network). keys is
+// retained until the round's deliveries have been consumed; callers must
+// not mutate it before the next round completes.
+func (o *Outbox) Send(to topology.NodeID, tag Tag, keys []uint64) {
+	o.to = append(o.to, to)
+	o.tag = append(o.tag, tag)
+	o.keys = append(o.keys, keys)
+	p := int32(len(o.pool))
+	o.dlo = append(o.dlo, p)
+	o.dhi = append(o.dhi, p)
+}
+
+// Multicast queues a transfer to every node in dsts, routed along the
+// Steiner tree of the sender and dsts so that every link is charged once
+// regardless of the number of destinations. This matches the paper's
+// accounting for instructions like "send a to all nodes in V_β ∪ {h(a)}":
+// a router replicates the element toward multiple links. Duplicate
+// destinations receive a single delivery. dsts is copied into the outbox's
+// destination pool, so callers may reuse the slice immediately; keys
+// follows the Send retention rule.
+func (o *Outbox) Multicast(dsts []topology.NodeID, tag Tag, keys []uint64) {
+	o.to = append(o.to, topology.NoNode)
+	o.tag = append(o.tag, tag)
+	o.keys = append(o.keys, keys)
+	lo := int32(len(o.pool))
+	o.pool = append(o.pool, dsts...)
+	o.dlo = append(o.dlo, lo)
+	o.dhi = append(o.dhi, int32(len(o.pool)))
+}
+
+// reset truncates the outbox for reuse, dropping payload references so the
+// arena does not pin caller slices beyond the round that delivered them.
+func (o *Outbox) reset() {
+	for j := range o.keys {
+		o.keys[j] = nil
+	}
+	o.to = o.to[:0]
+	o.tag = o.tag[:0]
+	o.keys = o.keys[:0]
+	o.dlo = o.dlo[:0]
+	o.dhi = o.dhi[:0]
+	o.pool = o.pool[:0]
 }
 
 // Exchange opens a planned round. Transfers read the inboxes of the
@@ -44,7 +106,7 @@ type Exchange struct {
 // round.
 func (e *Engine) Exchange() *Exchange {
 	if e.inRound {
-		panic("netsim: Exchange while a round is open")
+		panic("netsim: Exchange while another exchange is open")
 	}
 	e.inRound = true
 	x := &e.exbuf[e.exturn]
@@ -80,7 +142,9 @@ func (x *Exchange) Out(v topology.NodeID) *Outbox {
 // transfers into the node's outbox. fn typically reads Engine.Inbox(v)
 // (safe: inboxes are read-only during an exchange) plus protocol-local
 // state for v, performs local computation, and queues sends. Plan may be
-// called several times; transfers accumulate.
+// called several times; transfers accumulate. If fn panics on a worker
+// goroutine, Plan waits for the other workers and re-raises the first
+// panic value on the calling goroutine.
 func (x *Exchange) Plan(fn func(v topology.NodeID, out *Outbox)) {
 	if x.done {
 		panic("netsim: Plan on executed exchange")
@@ -104,11 +168,13 @@ func (x *Exchange) Plan(fn func(v topology.NodeID, out *Outbox)) {
 		go planWorker(x, fn, chunk)
 	}
 	e.planWG.Wait()
+	e.planFault.Reraise()
 }
 
 // planWorker drains chunks of compute nodes from the shared plan cursor.
 func planWorker(x *Exchange, fn func(v topology.NodeID, out *Outbox), chunk int) {
 	defer x.e.planWG.Done()
+	defer x.e.planFault.Capture()
 	nodes := x.e.t.ComputeNodes()
 	n := int64(len(nodes))
 	c64 := int64(chunk)
@@ -254,7 +320,7 @@ func (x *Exchange) execute() int {
 	}
 
 	// Deliveries, merged in compute-node order (then op order) so inbox
-	// ordering is deterministic and identical to the per-message Round API.
+	// ordering is deterministic for any worker count.
 	messages := 0
 	var elements int64
 	for i, v := range nodes {

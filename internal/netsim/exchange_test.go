@@ -24,7 +24,7 @@ func randomOpTree(tb testing.TB, rng *rand.Rand, n int) *topology.Tree {
 	return t
 }
 
-// op is one randomly generated transfer for replay on both engines.
+// fuzzOp is one transfer, replayed on an exchange and on the oracle.
 type fuzzOp struct {
 	from topology.NodeID
 	to   topology.NodeID
@@ -84,101 +84,62 @@ func statsEqual(tb testing.TB, got, want RoundStats) {
 	}
 }
 
-// TestExchangeMatchesRound replays random op batches through the legacy
-// per-message Round API and the planned Exchange and requires identical
-// statistics and identical inboxes (contents and order).
-func TestExchangeMatchesRound(t *testing.T) {
+// TestExchangeMatchesOracle executes random op batches — duplicate, self
+// and empty destination lists and zero-length payloads included — and
+// requires the path-walk oracle's statistics and inboxes (contents and
+// order).
+func TestExchangeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
 		tr := randomOpTree(t, rng, 2+rng.Intn(40))
 		ops := randomOps(rng, tr, rng.Intn(120))
 
-		legacy := NewEngine(tr)
-		rd := legacy.BeginRound()
-		for _, o := range ops {
-			if o.dsts == nil {
-				rd.Send(o.from, o.to, o.tag, o.keys)
-			} else {
-				rd.Multicast(o.from, o.dsts, o.tag, o.keys)
-			}
+		// The Exchange merges deliveries in sender order, so the oracle gets
+		// the ops grouped by sender; edge and node sums do not depend on the
+		// grouping, so they also match the ops in generation order.
+		ordered := bySender(tr, ops)
+		e := NewEngine(tr)
+		x := e.Exchange()
+		for _, o := range ordered {
+			queueOp(x.Out(o.from), o)
 		}
-		wantStats := rd.Finish()
-
-		// The Round API accounts ops in issue order; the Exchange plans them
-		// per sender and merges in compute-node order. Per-sender op order is
-		// preserved, and edge sums are order-independent, so grouping by
-		// sender must not change anything — but inbox interleaving across
-		// senders differs unless the legacy ops are issued in sender order
-		// too. Re-issue legacy ops grouped by sender for the inbox check.
-		legacyOrdered := NewEngine(tr)
-		rd2 := legacyOrdered.BeginRound()
-		x := NewEngine(tr).Exchange()
-		for _, v := range tr.ComputeNodes() {
-			for _, o := range ops {
-				if o.from != v {
-					continue
-				}
-				if o.dsts == nil {
-					rd2.Send(o.from, o.to, o.tag, o.keys)
-					x.Out(o.from).Send(o.to, o.tag, o.keys)
-				} else {
-					rd2.Multicast(o.from, o.dsts, o.tag, o.keys)
-					x.Out(o.from).Multicast(o.dsts, o.tag, o.keys)
-				}
-			}
-		}
-		wantOrdered := rd2.Finish()
-		gotStats := x.Execute()
-
-		statsEqual(t, gotStats, wantOrdered)
-		// Aggregate sums are also identical to the unordered issue order.
-		statsEqual(t, RoundStats{
-			EdgeElems: gotStats.EdgeElems, NodeSent: gotStats.NodeSent,
-			NodeReceived: gotStats.NodeReceived, Cost: gotStats.Cost,
-			BottleneckEdge: gotStats.BottleneckEdge, MaxReceived: gotStats.MaxReceived,
-			Messages: gotStats.Messages, Elements: gotStats.Elements,
-		}, wantStats)
-
-		xe := x.e
-		for _, v := range tr.ComputeNodes() {
-			if !reflect.DeepEqual(xe.Inbox(v).Messages(), legacyOrdered.Inbox(v).Messages()) {
-				t.Fatalf("trial %d: inbox of %d differs:\n got %v\nwant %v",
-					trial, v, xe.Inbox(v), legacyOrdered.Inbox(v))
-			}
-		}
+		got := x.Execute()
+		checkOracle(t, e, got, ordered)
+		unordered, _ := oracleRound(tr, ops)
+		statsEqual(t, got, unordered)
 	}
 }
 
-// TestExchangePlanMatchesRoundParallel migrates the canonical protocol
-// shape — Parallel planning per node — and checks full equivalence.
+// TestExchangePlanMatchesRoundParallel runs the canonical protocol shape —
+// per-node planning under Plan with several workers — and checks it
+// against the oracle.
 func TestExchangePlanMatchesRoundParallel(t *testing.T) {
 	tr, err := topology.TwoTier([]int{3, 3, 3}, []float64{4, 2, 1}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vs := tr.ComputeNodes()
-	plan := func(v topology.NodeID, out *Outbox) {
+	opsOf := func(v topology.NodeID) []fuzzOp {
 		i := int(v)
-		out.Send(vs[(i+1)%len(vs)], TagData, []uint64{uint64(i), uint64(i * i)})
-		out.Multicast([]topology.NodeID{vs[0], vs[len(vs)-1], vs[0]}, TagR, []uint64{uint64(i)})
-		out.Send(v, TagS, []uint64{7}) // self-send
-	}
-
-	legacy := NewEngine(tr)
-	rd := legacy.BeginRound()
-	rd.Parallel(plan)
-	want := rd.Finish()
-
-	ex := NewEngine(tr)
-	x := ex.Exchange()
-	x.Plan(plan)
-	got := x.Execute()
-
-	statsEqual(t, got, want)
-	for _, v := range vs {
-		if !reflect.DeepEqual(ex.Inbox(v).Messages(), legacy.Inbox(v).Messages()) {
-			t.Fatalf("inbox of %d differs", v)
+		return []fuzzOp{
+			{from: v, to: vs[(i+1)%len(vs)], tag: TagData, keys: []uint64{uint64(i), uint64(i * i)}},
+			{from: v, dsts: []topology.NodeID{vs[0], vs[len(vs)-1], vs[0]}, tag: TagR, keys: []uint64{uint64(i)}},
+			{from: v, to: v, tag: TagS, keys: []uint64{7}}, // self-send
 		}
+	}
+	var ops []fuzzOp
+	for _, v := range vs {
+		ops = append(ops, opsOf(v)...)
+	}
+	for _, workers := range []int{1, 4} {
+		e := NewEngine(tr, WithWorkers(workers))
+		x := e.Exchange()
+		x.Plan(func(v topology.NodeID, out *Outbox) {
+			for _, o := range opsOf(v) {
+				queueOp(out, o)
+			}
+		})
+		checkOracle(t, e, x.Execute(), ops)
 	}
 }
 
@@ -191,17 +152,8 @@ func TestExchangeWorkerCounts(t *testing.T) {
 	run := func(workers int) RoundStats {
 		e := NewEngine(tr, WithWorkers(workers))
 		x := e.Exchange()
-		for _, v := range tr.ComputeNodes() {
-			for _, o := range ops {
-				if o.from != v {
-					continue
-				}
-				if o.dsts == nil {
-					x.Out(o.from).Send(o.to, o.tag, o.keys)
-				} else {
-					x.Out(o.from).Multicast(o.dsts, o.tag, o.keys)
-				}
-			}
+		for _, o := range ops {
+			queueOp(x.Out(o.from), o)
 		}
 		return x.Execute()
 	}
@@ -302,8 +254,7 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// TestExchangeMisusePanics: the exchange lifecycle is enforced like the
-// Round lifecycle.
+// TestExchangeMisusePanics: the exchange lifecycle is enforced.
 func TestExchangeMisusePanics(t *testing.T) {
 	tr, err := topology.Star([]float64{1, 1})
 	if err != nil {
@@ -311,15 +262,10 @@ func TestExchangeMisusePanics(t *testing.T) {
 	}
 	vs := tr.ComputeNodes()
 
-	mustPanic(t, "Exchange while round open", func() {
-		e := NewEngine(tr)
-		e.BeginRound()
-		e.Exchange()
-	})
-	mustPanic(t, "BeginRound while exchange open", func() {
+	mustPanic(t, "Exchange while exchange open", func() {
 		e := NewEngine(tr)
 		e.Exchange()
-		e.BeginRound()
+		e.Exchange()
 	})
 	mustPanic(t, "Execute twice", func() {
 		x := NewEngine(tr).Exchange()
@@ -352,30 +298,32 @@ func TestExchangeMisusePanics(t *testing.T) {
 	})
 }
 
-// TestRoundMisusePanics covers the legacy lifecycle panics alongside the
-// exchange ones.
-func TestRoundMisusePanics(t *testing.T) {
-	tr, err := topology.Star([]float64{1, 1})
+// TestPlanPanicReraisedOnCaller: a panic in a Plan callback on a worker
+// goroutine is re-raised on the goroutine that called Plan once every
+// worker has returned, and leaves Plan usable afterwards.
+func TestPlanPanicReraisedOnCaller(t *testing.T) {
+	tr, err := topology.UniformStar(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vs := tr.ComputeNodes()
-
-	mustPanic(t, "BeginRound twice", func() {
-		e := NewEngine(tr)
-		e.BeginRound()
-		e.BeginRound()
+	x := NewEngine(tr, WithWorkers(4)).Exchange()
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		x.Plan(func(v topology.NodeID, out *Outbox) {
+			if v == vs[5] {
+				panic("plan failed")
+			}
+		})
+		return nil
+	}()
+	if got != "plan failed" {
+		t.Fatalf("recovered %v, want the callback's panic value", got)
+	}
+	x.Plan(func(v topology.NodeID, out *Outbox) {
+		out.Send(vs[0], TagData, []uint64{uint64(v)})
 	})
-	mustPanic(t, "Finish twice", func() {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Finish()
-		rd.Finish()
-	})
-	mustPanic(t, "Send on finished round", func() {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Finish()
-		rd.Send(vs[0], vs[1], TagData, nil)
-	})
+	if st := x.Execute(); st.Messages != len(vs) {
+		t.Fatalf("messages after recovered panic = %d, want %d", st.Messages, len(vs))
+	}
 }

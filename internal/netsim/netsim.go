@@ -20,12 +20,9 @@
 // determinism is preserved by merging per-node outboxes in compute-node
 // order.
 //
-// Two execution surfaces are provided. The per-message Round API
-// (BeginRound / Send / Multicast / Finish) walks the tree path of every
-// transfer and is kept as the reference implementation. The planned
-// Exchange API (Engine.Exchange / Plan / Execute) accounts a whole round
-// of declared transfers in O(V + M) via LCA tree-difference counting and
-// is what the protocol packages run on.
+// Protocols run on the planned Exchange API (Engine.Exchange / Plan /
+// Execute), which accounts a whole round of declared transfers in
+// O(V + M) via LCA tree-difference counting.
 //
 // The engine owns a reusable round arena: outbox buffers, shard tallies,
 // stamp sets, and (under WithLeanStats) the per-round accounting arrays
@@ -36,12 +33,12 @@
 package netsim
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"topompc/internal/obs"
+	"topompc/internal/par"
 	"topompc/internal/topology"
 )
 
@@ -154,14 +151,12 @@ func (in Inbox) At(i int) Message {
 
 // Engine executes rounds on a fixed tree and accumulates cost statistics.
 type Engine struct {
-	t  *topology.Tree
-	sc *topology.SteinerScratch
+	t *topology.Tree
 
 	rounds    []RoundStats
 	inboxCur  []nodeInbox
 	inboxNext []nodeInbox
 
-	pathBuf []topology.EdgeID
 	inRound bool
 
 	workers int     // 0 = GOMAXPROCS
@@ -188,14 +183,11 @@ type Engine struct {
 	totSent    []int64 // lean mode: cumulative per-node sent totals
 	totRecv    []int64 // lean mode: cumulative per-node received totals
 
-	pending sync.WaitGroup // outstanding asynchronous round accounting
-	tallyWG sync.WaitGroup // in-flight shard tally workers of one round
-	planWG  sync.WaitGroup // in-flight Plan workers of one call
-	planIdx atomic.Int64   // work-stealing cursor shared by Plan workers
-
-	parOuts []Outbox // Round.Parallel outbox arena, recycled across rounds
-	parWG   sync.WaitGroup
-	parIdx  atomic.Int64 // work-stealing cursor shared by Parallel workers
+	pending   sync.WaitGroup // outstanding asynchronous round accounting
+	tallyWG   sync.WaitGroup // in-flight shard tally workers of one round
+	planWG    sync.WaitGroup // in-flight Plan workers of one call
+	planIdx   atomic.Int64   // work-stealing cursor shared by Plan workers
+	planFault par.FirstPanic // first panic raised by a Plan worker
 
 	// Flight recorder. Both sinks are optional; with neither attached every
 	// hook below reduces to a nil comparison, preserving the zero-alloc
@@ -253,7 +245,6 @@ func WithMetrics(r *obs.Registry) Option {
 func NewEngine(t *topology.Tree, opts ...Option) *Engine {
 	e := &Engine{
 		t:         t,
-		sc:        topology.NewSteinerScratch(t),
 		inboxCur:  make([]nodeInbox, t.NumNodes()),
 		inboxNext: make([]nodeInbox, t.NumNodes()),
 		cindex:    make([]int32, t.NumNodes()),
@@ -386,129 +377,6 @@ func (e *Engine) Inbox(v topology.NodeID) Inbox { return Inbox{ib: &e.inboxCur[v
 func (e *Engine) NumRounds() int {
 	e.pending.Wait()
 	return len(e.rounds)
-}
-
-// BeginRound starts a communication round. Sends read the inboxes of the
-// previous round; deliveries become visible when Finish is called.
-func (e *Engine) BeginRound() *Round {
-	if e.inRound {
-		panic("netsim: BeginRound while a round is open")
-	}
-	e.pending.Wait()
-	e.inRound = true
-	r := &Round{
-		e:        e,
-		traffic:  make([]int64, e.t.NumEdges()),
-		sent:     make([]int64, e.t.NumNodes()),
-		received: make([]int64, e.t.NumNodes()),
-	}
-	if e.tracer != nil {
-		r.t0 = e.tracer.Now()
-	}
-	return r
-}
-
-// Round is one open communication round.
-type Round struct {
-	e        *Engine
-	traffic  []int64
-	sent     []int64
-	received []int64
-	messages int
-	elements int64
-	t0       float64 // trace timestamp of BeginRound (tracing only)
-	done     bool
-}
-
-func (r *Round) checkEndpoints(from topology.NodeID, to ...topology.NodeID) {
-	if r.done {
-		panic("netsim: send on finished round")
-	}
-	if !r.e.t.IsCompute(from) {
-		panic(fmt.Sprintf("netsim: sender %d is not a compute node", from))
-	}
-	for _, d := range to {
-		if !r.e.t.IsCompute(d) {
-			panic(fmt.Sprintf("netsim: receiver %d is not a compute node", d))
-		}
-	}
-}
-
-// Send transmits keys from one compute node to another along the unique
-// tree path, charging every link once. Self-sends are free and are still
-// delivered (the node keeps its own data without touching the network).
-func (r *Round) Send(from, to topology.NodeID, tag Tag, keys []uint64) {
-	r.checkEndpoints(from, to)
-	if from != to {
-		r.e.pathBuf = r.e.t.Path(r.e.pathBuf[:0], from, to)
-		for _, edge := range r.e.pathBuf {
-			r.traffic[edge] += int64(len(keys))
-		}
-		r.sent[from] += int64(len(keys))
-	}
-	r.deliver(from, to, tag, keys)
-}
-
-// Multicast transmits keys from one compute node to every node in dsts,
-// routing along the Steiner tree of {from} ∪ dsts so that every link is
-// charged once regardless of the number of destinations. This matches the
-// paper's accounting for instructions like "send a to all nodes in
-// V_β ∪ {h(a)}": a router replicates the element toward multiple links.
-// Duplicate destinations receive a single delivery.
-func (r *Round) Multicast(from topology.NodeID, dsts []topology.NodeID, tag Tag, keys []uint64) {
-	r.checkEndpoints(from, dsts...)
-	r.e.pathBuf = r.e.t.Steiner(r.e.pathBuf[:0], r.e.sc, from, dsts)
-	if len(r.e.pathBuf) > 0 {
-		// The sender emits one copy into the network; routers replicate.
-		r.sent[from] += int64(len(keys))
-	}
-	for _, edge := range r.e.pathBuf {
-		r.traffic[edge] += int64(len(keys))
-	}
-	// Duplicate destinations receive one delivery; dedup with a stamp set so
-	// wide multicasts stay O(len(dsts)) instead of O(len(dsts)²).
-	stamp := r.e.nextStamp()
-	for _, d := range dsts {
-		if r.e.dupStamp[d] == stamp {
-			continue
-		}
-		r.e.dupStamp[d] = stamp
-		r.deliver(from, d, tag, keys)
-	}
-}
-
-func (r *Round) deliver(from, to topology.NodeID, tag Tag, keys []uint64) {
-	r.messages++
-	r.elements += int64(len(keys))
-	if from != to {
-		r.received[to] += int64(len(keys))
-	}
-	r.e.inboxNext[to].push(from, tag, keys)
-}
-
-// Finish closes the round: it computes the round cost, records statistics,
-// and makes all deliveries visible in the inboxes.
-func (r *Round) Finish() RoundStats {
-	if r.done {
-		panic("netsim: Finish called twice")
-	}
-	r.done = true
-	return r.e.commitRound(r.traffic, r.sent, r.received, r.messages, r.elements, r.t0)
-}
-
-// commitRound computes the round cost from the accounted traffic, records
-// the statistics, and makes all deliveries visible in the inboxes. It is
-// the synchronous path of the per-message Round API; exchanges commit
-// through execute/accountRound instead.
-func (e *Engine) commitRound(traffic, sent, received []int64, messages int, elements int64, t0 float64) RoundStats {
-	e.inRound = false
-
-	slot := len(e.rounds)
-	e.rounds = append(e.rounds, RoundStats{Index: slot, Messages: messages, Elements: elements})
-	e.finishStats(slot, traffic, sent, received)
-	e.recordRound(slot, t0)
-	e.swapInboxes()
-	return e.rounds[slot]
 }
 
 // finishStats fills the cost fields of a reserved stats slot from the

@@ -22,9 +22,9 @@ func TestUnicastCostStar(t *testing.T) {
 	tr := star(t, 1, 2) // v1 with bw 1, v2 with bw 2
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[1], TagData, make([]uint64, 10))
-	st := rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[1], TagData, make([]uint64, 10))
+	st := x.Execute()
 	// 10 elements cross both links: v1—w at bw 1 (cost 10), w—v2 at bw 2
 	// (cost 5). Round cost = 10.
 	if st.Cost != 10 {
@@ -45,9 +45,9 @@ func TestSelfSendIsFree(t *testing.T) {
 	tr := star(t, 1, 1)
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[0], TagData, make([]uint64, 100))
-	st := rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[0], TagData, make([]uint64, 100))
+	st := x.Execute()
 	if st.Cost != 0 {
 		t.Errorf("self-send cost = %v, want 0", st.Cost)
 	}
@@ -65,16 +65,15 @@ func TestMulticastChargesSteinerOnce(t *testing.T) {
 	}
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Multicast(vs[0], []topology.NodeID{vs[1], vs[2]}, TagData, make([]uint64, 7))
-	st := rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Multicast([]topology.NodeID{vs[1], vs[2]}, TagData, make([]uint64, 7))
+	st := x.Execute()
 
 	// Unicast equivalent for comparison.
-	e2 := NewEngine(tr)
-	rd2 := e2.BeginRound()
-	rd2.Send(vs[0], vs[1], TagData, make([]uint64, 7))
-	rd2.Send(vs[0], vs[2], TagData, make([]uint64, 7))
-	st2 := rd2.Finish()
+	x2 := NewEngine(tr).Exchange()
+	x2.Out(vs[0]).Send(vs[1], TagData, make([]uint64, 7))
+	x2.Out(vs[0]).Send(vs[2], TagData, make([]uint64, 7))
+	st2 := x2.Execute()
 
 	var multiTotal, uniTotal int64
 	for i := range st.EdgeElems {
@@ -96,14 +95,12 @@ func TestMulticastChargesSteinerOnce(t *testing.T) {
 func TestMulticastSingleDestEqualsUnicast(t *testing.T) {
 	tr := star(t, 1, 1, 1)
 	vs := tr.ComputeNodes()
-	e1 := NewEngine(tr)
-	r1 := e1.BeginRound()
-	r1.Send(vs[0], vs[2], TagData, make([]uint64, 5))
-	s1 := r1.Finish()
-	e2 := NewEngine(tr)
-	r2 := e2.BeginRound()
-	r2.Multicast(vs[0], []topology.NodeID{vs[2]}, TagData, make([]uint64, 5))
-	s2 := r2.Finish()
+	x1 := NewEngine(tr).Exchange()
+	x1.Out(vs[0]).Send(vs[2], TagData, make([]uint64, 5))
+	s1 := x1.Execute()
+	x2 := NewEngine(tr).Exchange()
+	x2.Out(vs[0]).Multicast([]topology.NodeID{vs[2]}, TagData, make([]uint64, 5))
+	s2 := x2.Execute()
 	if !reflect.DeepEqual(s1.EdgeElems, s2.EdgeElems) {
 		t.Errorf("edge traffic differs: %v vs %v", s1.EdgeElems, s2.EdgeElems)
 	}
@@ -117,10 +114,9 @@ func TestInfiniteBandwidthIsFree(t *testing.T) {
 	b.Link(v1, w, math.Inf(1))
 	b.Link(v2, w, math.Inf(1))
 	tr := b.MustBuild()
-	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(v1, v2, TagData, make([]uint64, 1000))
-	if st := rd.Finish(); st.Cost != 0 {
+	x := NewEngine(tr).Exchange()
+	x.Out(v1).Send(v2, TagData, make([]uint64, 1000))
+	if st := x.Execute(); st.Cost != 0 {
 		t.Errorf("cost over infinite links = %v, want 0", st.Cost)
 	}
 }
@@ -130,9 +126,9 @@ func TestMultiRoundAccumulation(t *testing.T) {
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
 	for i := 0; i < 3; i++ {
-		rd := e.BeginRound()
-		rd.Send(vs[0], vs[1], TagData, make([]uint64, 4))
-		rd.Finish()
+		x := e.Exchange()
+		x.Out(vs[0]).Send(vs[1], TagData, make([]uint64, 4))
+		x.Execute()
 	}
 	rep := e.Report()
 	if rep.NumRounds() != 3 {
@@ -158,9 +154,9 @@ func TestInboxVisibilityAcrossRounds(t *testing.T) {
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
 
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[1], TagR, []uint64{1, 2, 3})
-	rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[1], TagR, []uint64{1, 2, 3})
+	x.Execute()
 
 	if got := e.Inbox(vs[1]).Messages(); len(got) != 1 || got[0].Tag != TagR {
 		t.Fatalf("round-1 delivery missing: %v", got)
@@ -168,10 +164,10 @@ func TestInboxVisibilityAcrossRounds(t *testing.T) {
 
 	// Round 2: v2 forwards what it received; during the round its own inbox
 	// is still readable.
-	rd = e.BeginRound()
+	x = e.Exchange()
 	in := e.Inbox(vs[1])
-	rd.Send(vs[1], vs[0], TagS, in.At(0).Keys)
-	rd.Finish()
+	x.Out(vs[1]).Send(vs[0], TagS, in.At(0).Keys)
+	x.Execute()
 
 	if got := e.Inbox(vs[0]).Messages(); len(got) != 1 || got[0].Tag != TagS || len(got[0].Keys) != 3 {
 		t.Fatalf("round-2 delivery wrong: %v", got)
@@ -181,44 +177,40 @@ func TestInboxVisibilityAcrossRounds(t *testing.T) {
 	}
 }
 
+// TestPanicsOnMisuse: routers can neither send nor receive, whether the
+// transfer is queued directly or from a Plan callback, and a rejected
+// plan leaves the engine untouched.
 func TestPanicsOnMisuse(t *testing.T) {
 	tr := star(t, 1, 1)
 	vs := tr.ComputeNodes()
-	expectPanic := func(name string, fn func()) {
+	expectPanic := func(name string, plan func(x *Exchange)) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
+		e := NewEngine(tr)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			x := e.Exchange()
+			plan(x)
+			x.Execute()
 		}()
-		fn()
+		if e.NumRounds() != 0 || e.Inbox(vs[0]).Len() != 0 || e.Inbox(vs[1]).Len() != 0 {
+			t.Errorf("%s: rejected plan changed the engine", name)
+		}
 	}
-	expectPanic("router sender", func() {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Send(tr.Root(), vs[0], TagData, nil)
+	expectPanic("router sender", func(x *Exchange) {
+		x.Out(tr.Root()).Send(vs[0], TagData, nil)
 	})
-	expectPanic("router receiver", func() {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Send(vs[0], tr.Root(), TagData, nil)
+	expectPanic("router receiver", func(x *Exchange) {
+		x.Plan(func(v topology.NodeID, out *Outbox) {
+			out.Send(vs[1], TagData, []uint64{1})
+			out.Send(tr.Root(), TagData, nil)
+		})
 	})
-	expectPanic("double finish", func() {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Finish()
-		rd.Finish()
-	})
-	expectPanic("nested round", func() {
-		e := NewEngine(tr)
-		e.BeginRound()
-		e.BeginRound()
-	})
-	expectPanic("send after finish", func() {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Finish()
-		rd.Send(vs[0], vs[1], TagData, nil)
+	expectPanic("router among multicast receivers", func(x *Exchange) {
+		x.Out(vs[0]).Multicast([]topology.NodeID{vs[1], tr.Root()}, TagData, []uint64{1})
 	})
 }
 
@@ -227,10 +219,10 @@ func TestParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *Report {
-		e := NewEngine(tr)
-		rd := e.BeginRound()
-		rd.Parallel(func(v topology.NodeID, out *Outbox) {
+	run := func(workers int) (*Report, [][]Message) {
+		e := NewEngine(tr, WithWorkers(workers))
+		x := e.Exchange()
+		x.Plan(func(v topology.NodeID, out *Outbox) {
 			// Every node sends fixed amounts to a few peers based on its id.
 			peers := tr.ComputeNodes()
 			for i := 0; i < 3; i++ {
@@ -238,24 +230,31 @@ func TestParallelDeterminism(t *testing.T) {
 				out.Send(d, TagData, make([]uint64, int(v)+i))
 			}
 		})
-		rd.Finish()
-		return e.Report()
+		x.Execute()
+		var inboxes [][]Message
+		for _, v := range tr.ComputeNodes() {
+			inboxes = append(inboxes, e.Inbox(v).Messages())
+		}
+		return e.Report(), inboxes
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.Rounds[0].EdgeElems, b.Rounds[0].EdgeElems) {
-		t.Error("parallel execution is not deterministic")
+	a, ina := run(1)
+	for _, w := range []int{1, 4} {
+		b, inb := run(w)
+		if !reflect.DeepEqual(a.Rounds, b.Rounds) || !reflect.DeepEqual(ina, inb) {
+			t.Errorf("workers=%d: parallel planning is not deterministic", w)
+		}
 	}
 }
 
 func TestParallelMergesInNodeOrder(t *testing.T) {
 	tr := star(t, 1, 1, 1, 1)
 	vs := tr.ComputeNodes()
-	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Parallel(func(v topology.NodeID, out *Outbox) {
+	e := NewEngine(tr, WithWorkers(4))
+	x := e.Exchange()
+	x.Plan(func(v topology.NodeID, out *Outbox) {
 		out.Send(vs[0], TagData, []uint64{uint64(v)})
 	})
-	rd.Finish()
+	x.Execute()
 	in := e.Inbox(vs[0]).Messages()
 	if len(in) != len(vs) {
 		t.Fatalf("inbox size %d, want %d", len(in), len(vs))
@@ -270,14 +269,14 @@ func TestParallelMergesInNodeOrder(t *testing.T) {
 func TestParallelMulticast(t *testing.T) {
 	tr := star(t, 1, 1, 1)
 	vs := tr.ComputeNodes()
-	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Parallel(func(v topology.NodeID, out *Outbox) {
+	e := NewEngine(tr, WithWorkers(4))
+	x := e.Exchange()
+	x.Plan(func(v topology.NodeID, out *Outbox) {
 		if v == vs[0] {
 			out.Multicast([]topology.NodeID{vs[1], vs[2]}, TagData, []uint64{9})
 		}
 	})
-	st := rd.Finish()
+	st := x.Execute()
 	if st.Messages != 2 {
 		t.Errorf("messages = %d, want 2", st.Messages)
 	}
@@ -306,9 +305,9 @@ func TestReportString(t *testing.T) {
 	tr := star(t, 1, 1)
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[1], TagData, []uint64{1})
-	rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[1], TagData, []uint64{1})
+	x.Execute()
 	if s := e.Report().String(); s == "" {
 		t.Error("empty report string")
 	}

@@ -12,12 +12,11 @@ func TestNodeTrafficAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := tr.ComputeNodes()
-	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[1], TagData, make([]uint64, 10))
-	rd.Send(vs[0], vs[0], TagData, make([]uint64, 99)) // self-send: free
-	rd.Multicast(vs[2], []topology.NodeID{vs[0], vs[1]}, TagData, make([]uint64, 5))
-	st := rd.Finish()
+	x := NewEngine(tr).Exchange()
+	x.Out(vs[0]).Send(vs[1], TagData, make([]uint64, 10))
+	x.Out(vs[0]).Send(vs[0], TagData, make([]uint64, 99)) // self-send: free
+	x.Out(vs[2]).Multicast([]topology.NodeID{vs[0], vs[1]}, TagData, make([]uint64, 5))
+	st := x.Execute()
 
 	if got := st.NodeSent[vs[0]]; got != 10 {
 		t.Errorf("v1 sent %d, want 10 (self-send free)", got)
@@ -40,13 +39,13 @@ func TestMPCCost(t *testing.T) {
 	}
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[1], TagData, make([]uint64, 10))
-	rd.Send(vs[2], vs[1], TagData, make([]uint64, 7))
-	rd.Finish()
-	rd = e.BeginRound()
-	rd.Send(vs[1], vs[0], TagData, make([]uint64, 3))
-	rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[1], TagData, make([]uint64, 10))
+	x.Out(vs[2]).Send(vs[1], TagData, make([]uint64, 7))
+	x.Execute()
+	x = e.Exchange()
+	x.Out(vs[1]).Send(vs[0], TagData, make([]uint64, 3))
+	x.Execute()
 	rep := e.Report()
 	// Round 1 max received = 17 (node v2), round 2 max = 3.
 	if got := rep.MPCCost(); got != 20 {
@@ -80,9 +79,9 @@ func TestMulticastDuplicateDestinations(t *testing.T) {
 	}
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Multicast(vs[0], []topology.NodeID{vs[1], vs[1], vs[1]}, TagData, make([]uint64, 4))
-	st := rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Multicast([]topology.NodeID{vs[1], vs[1], vs[1]}, TagData, make([]uint64, 4))
+	st := x.Execute()
 	if got := e.Inbox(vs[1]).Len(); got != 1 {
 		t.Errorf("duplicate destinations delivered %d times, want 1", got)
 	}
@@ -98,9 +97,9 @@ func TestEdgeTable(t *testing.T) {
 	}
 	vs := tr.ComputeNodes()
 	e := NewEngine(tr)
-	rd := e.BeginRound()
-	rd.Send(vs[0], vs[1], TagData, make([]uint64, 10))
-	rd.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[1], TagData, make([]uint64, 10))
+	x.Execute()
 	table := e.Report().EdgeTable()
 	if table == "" || table == "(no rounds)\n" {
 		t.Fatalf("edge table missing: %q", table)

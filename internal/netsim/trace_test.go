@@ -61,8 +61,9 @@ func TestExchangeTraceRoundsSumToTotalCost(t *testing.T) {
 	}
 }
 
-// TestRoundAPITraceAndBottleneck exercises the per-message Round path with
-// tracing and metrics attached and checks the bottleneck-link annotation.
+// TestRoundAPITraceAndBottleneck executes one synchronous exchange round
+// with tracing and metrics attached and checks the bottleneck-link
+// annotation and the metrics snapshot.
 func TestRoundAPITraceAndBottleneck(t *testing.T) {
 	tr, err := topology.Star([]float64{1, 1, 1, 1})
 	if err != nil {
@@ -73,9 +74,9 @@ func TestRoundAPITraceAndBottleneck(t *testing.T) {
 	e := NewEngine(tr, WithTracer(tc), WithMetrics(reg))
 	vs := tr.ComputeNodes()
 
-	r := e.BeginRound()
-	r.Send(vs[0], vs[1], TagData, []uint64{1, 2, 3})
-	st := r.Finish()
+	x := e.Exchange()
+	x.Out(vs[0]).Send(vs[1], TagData, []uint64{1, 2, 3})
+	st := x.Execute()
 
 	evs := roundEvents(tc)
 	if len(evs) != 1 {

@@ -109,7 +109,8 @@ func (p *Pool) shardsFor(n int) int {
 // per shard, in parallel, returning after all shards complete (the phase
 // barrier). Shard s covers [s·n/shards, (s+1)·n/shards); the partition
 // depends only on (n, workers). fn must confine its writes to state owned
-// by its index range.
+// by its index range. If fn panics, Blocks waits for the other shards and
+// re-raises the first panic value on the calling goroutine.
 func (p *Pool) Blocks(label string, n int, fn func(shard, lo, hi int)) {
 	p.blocksN(label, n, p.shardsFor(n), fn)
 }
@@ -125,16 +126,52 @@ func (p *Pool) blocksN(label string, n, shards int, fn func(shard, lo, hi int)) 
 		return
 	}
 	var wg sync.WaitGroup
+	var fault FirstPanic
 	wg.Add(shards - 1)
 	for s := 1; s < shards; s++ {
 		go func(s int) {
 			defer wg.Done()
+			defer fault.Capture()
 			p.runShard(label, s, s*n/shards, (s+1)*n/shards, fn)
 		}(s)
 	}
-	p.runShard(label, 0, 0, n/shards, fn)
+	func() {
+		defer fault.Capture()
+		p.runShard(label, 0, 0, n/shards, fn)
+	}()
 	wg.Wait()
+	fault.Reraise()
 	p.record(shards)
+}
+
+// FirstPanic holds the first panic raised by a group of worker goroutines,
+// so the goroutine that waits for them can re-raise it instead of the
+// process crashing. The zero value is ready to use.
+type FirstPanic struct {
+	mu  sync.Mutex
+	set bool
+	val any
+}
+
+// Capture records a panicking worker's value; each worker must defer it.
+func (f *FirstPanic) Capture() {
+	if v := recover(); v != nil {
+		f.mu.Lock()
+		if !f.set {
+			f.set, f.val = true, v
+		}
+		f.mu.Unlock()
+	}
+}
+
+// Reraise panics with the recorded value, if any, clearing it first. Call
+// it after every worker has returned.
+func (f *FirstPanic) Reraise() {
+	if f.set {
+		v := f.val
+		f.set, f.val = false, nil
+		panic(v)
+	}
 }
 
 // runShard executes one shard, timing it and emitting its span when the

@@ -156,3 +156,30 @@ func TestUninstrumentedNoAllocs(t *testing.T) {
 		t.Fatalf("single-worker Blocks allocated %.1f/op, want 0", allocs)
 	}
 }
+
+// TestBlocksPanicReraisedOnCaller: a panic in a shard is re-raised on the
+// goroutine that called Blocks, after every other shard has finished.
+func TestBlocksPanicReraisedOnCaller(t *testing.T) {
+	p := New(4)
+	for _, bad := range []int{0, 2} { // the caller's own shard and a spawned one
+		var done [4]atomic.Bool
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			p.Blocks("panic", 4, func(shard, lo, hi int) {
+				if shard == bad {
+					panic(shard)
+				}
+				done[shard].Store(true)
+			})
+			return nil
+		}()
+		if got != bad {
+			t.Fatalf("shard %d: recovered %v, want the shard's panic value", bad, got)
+		}
+		for s := range done {
+			if s != bad && !done[s].Load() {
+				t.Fatalf("shard %d panicked: Blocks returned before shard %d finished", bad, s)
+			}
+		}
+	}
+}

@@ -92,7 +92,7 @@ func TestLCAGeneratedTopologies(t *testing.T) {
 }
 
 // TestPathAccumulatorUnicasts checks tree-difference counting against
-// explicit per-message path walks.
+// explicit Tree.Path walks.
 func TestPathAccumulatorUnicasts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -130,16 +130,15 @@ func TestPathAccumulatorUnicasts(t *testing.T) {
 }
 
 // TestPathAccumulatorSteiner checks virtual-tree multicast accounting
-// against the stamp-based Steiner edge enumeration.
+// against the union of the Tree.Path edges from the source to every
+// destination, each edge charged once.
 func TestPathAccumulatorSteiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(50)
 		tr := randomTestTree(t, rng, n)
-		sc := NewSteinerScratch(tr)
 		acc := NewPathAccumulator(tr)
 		want := make([]int64, tr.NumEdges())
-		var buf []EdgeID
 		for m := 0; m < 60; m++ {
 			src := NodeID(rng.Intn(n))
 			k := 1 + rng.Intn(6)
@@ -149,8 +148,13 @@ func TestPathAccumulatorSteiner(t *testing.T) {
 			}
 			c := int64(1 + rng.Intn(4))
 			acc.AddSteiner(append(dsts, src), c)
-			buf = tr.Steiner(buf[:0], sc, src, dsts)
-			for _, e := range buf {
+			union := map[EdgeID]bool{}
+			for _, d := range dsts {
+				for _, e := range tr.Path(nil, src, d) {
+					union[e] = true
+				}
+			}
+			for e := range union {
 				want[e] += c
 			}
 		}

@@ -32,50 +32,3 @@ func (t *Tree) PathLen(u, v NodeID) int {
 	l := t.LCA(u, v)
 	return int(t.depth[u] + t.depth[v] - 2*t.depth[l])
 }
-
-// SteinerScratch is reusable state for Steiner computations, avoiding
-// per-call allocation in protocol inner loops. The zero value is invalid;
-// use NewSteinerScratch.
-type SteinerScratch struct {
-	stamp []int32
-	cur   int32
-}
-
-// NewSteinerScratch returns scratch space sized for t.
-func NewSteinerScratch(t *Tree) *SteinerScratch {
-	return &SteinerScratch{stamp: make([]int32, t.NumEdges())}
-}
-
-// Steiner appends to dst the edge set of the Steiner tree spanning src and
-// all dsts (the union of the unique paths src->d), with each edge appearing
-// exactly once, and returns the extended slice. This is the edge set charged
-// by a multicast in the cost model: a router replicates an element to
-// multiple output links, so the element crosses each link of the union at
-// most once.
-func (t *Tree) Steiner(dst []EdgeID, sc *SteinerScratch, src NodeID, dsts []NodeID) []EdgeID {
-	sc.cur++
-	if sc.cur == 0 { // wrapped; reset
-		for i := range sc.stamp {
-			sc.stamp[i] = -1
-		}
-		sc.cur = 1
-	}
-	for _, d := range dsts {
-		u, v := src, d
-		for u != v {
-			var e EdgeID
-			if t.depth[u] >= t.depth[v] {
-				e = t.parentEdge[u]
-				u = t.parent[u]
-			} else {
-				e = t.parentEdge[v]
-				v = t.parent[v]
-			}
-			if sc.stamp[e] != sc.cur {
-				sc.stamp[e] = sc.cur
-				dst = append(dst, e)
-			}
-		}
-	}
-	return dst
-}

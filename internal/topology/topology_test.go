@@ -215,47 +215,6 @@ func TestPathProperties(t *testing.T) {
 	}
 }
 
-func TestSteinerMatchesUnionOfPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for iter := 0; iter < 200; iter++ {
-		tr := randomTree(rng)
-		sc := NewSteinerScratch(tr)
-		n := tr.NumNodes()
-		src := NodeID(rng.Intn(n))
-		k := 1 + rng.Intn(4)
-		dsts := make([]NodeID, k)
-		for i := range dsts {
-			dsts[i] = NodeID(rng.Intn(n))
-		}
-		got := tr.Steiner(nil, sc, src, dsts)
-		want := map[EdgeID]bool{}
-		for _, d := range dsts {
-			for _, e := range tr.Path(nil, src, d) {
-				want[e] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("Steiner edge count %d, want %d", len(got), len(want))
-		}
-		for _, e := range got {
-			if !want[e] {
-				t.Fatalf("Steiner includes edge %v not on any path", e)
-			}
-		}
-	}
-}
-
-func TestSteinerScratchReuse(t *testing.T) {
-	tr := Figure1b()
-	sc := NewSteinerScratch(tr)
-	vs := tr.ComputeNodes()
-	a := tr.Steiner(nil, sc, vs[0], []NodeID{vs[8]})
-	b := tr.Steiner(nil, sc, vs[0], []NodeID{vs[8]})
-	if len(a) != len(b) {
-		t.Fatalf("scratch reuse changed result: %d vs %d edges", len(a), len(b))
-	}
-}
-
 func TestCutsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 100; iter++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"topompc/internal/core/cartesian"
 	"topompc/internal/core/intersect"
@@ -89,7 +90,12 @@ type Task struct {
 	Run    func(c *Cluster, in TaskInput) (*TaskResult, error)
 }
 
-var taskRegistry = map[string]Task{}
+// taskRegistry holds the registered tasks by name. RegisterTask may run
+// concurrently with lookups, so every access goes through taskMu.
+var (
+	taskMu       sync.RWMutex
+	taskRegistry = map[string]Task{}
+)
 
 // ErrDuplicateTask is returned by RegisterTask when a task name is already
 // taken. The existing registration is left untouched — a later register
@@ -102,11 +108,13 @@ var ErrEmptyTaskName = errors.New("topompc: task name must not be empty")
 // RegisterTask adds a task to the registry. Duplicate names are rejected
 // with ErrDuplicateTask (the first registration wins); empty names with
 // ErrEmptyTaskName. The built-in tasks are registered at init time;
-// callers may add their own.
+// callers may add their own. Safe for concurrent use.
 func RegisterTask(t Task) error {
 	if t.Name == "" {
 		return ErrEmptyTaskName
 	}
+	taskMu.Lock()
+	defer taskMu.Unlock()
 	if _, dup := taskRegistry[t.Name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateTask, t.Name)
 	}
@@ -124,16 +132,20 @@ func mustRegister(t Task) {
 
 // Tasks lists the registered tasks sorted by name.
 func Tasks() []Task {
+	taskMu.RLock()
 	out := make([]Task, 0, len(taskRegistry))
 	for _, t := range taskRegistry {
 		out = append(out, t)
 	}
+	taskMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // LookupTask finds a task by name.
 func LookupTask(name string) (Task, bool) {
+	taskMu.RLock()
+	defer taskMu.RUnlock()
 	t, ok := taskRegistry[name]
 	return t, ok
 }
@@ -148,9 +160,10 @@ func (c *Cluster) RunTask(name string, in TaskInput) (*TaskResult, error) {
 }
 
 func taskNames() []string {
-	names := make([]string, 0, len(taskRegistry))
-	for _, t := range Tasks() {
-		names = append(names, t.Name)
+	tasks := Tasks()
+	names := make([]string, len(tasks))
+	for i, t := range tasks {
+		names[i] = t.Name
 	}
 	return names
 }

@@ -2,8 +2,10 @@ package topompc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"topompc/internal/dataset"
@@ -127,7 +129,7 @@ func TestRegisterTaskDuplicateRejected(t *testing.T) {
 	if err := RegisterTask(first); err != nil {
 		t.Fatalf("first registration failed: %v", err)
 	}
-	defer delete(taskRegistry, name)
+	defer unregisterTask(name)
 	dup := Task{Name: name, Kind: TaskSingle, Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
 		ran = "second"
 		return &TaskResult{Summary: "second"}, nil
@@ -152,6 +154,76 @@ func TestRegisterTaskDuplicateRejected(t *testing.T) {
 	}
 	if err := RegisterTask(Task{}); !errors.Is(err, ErrEmptyTaskName) {
 		t.Errorf("empty name: got %v, want ErrEmptyTaskName", err)
+	}
+}
+
+// unregisterTask removes a task a test registered.
+func unregisterTask(name string) {
+	taskMu.Lock()
+	delete(taskRegistry, name)
+	taskMu.Unlock()
+}
+
+// TestRegistryConcurrentUse registers uniquely named tasks while other
+// goroutines run and list tasks; under -race any unguarded access to the
+// registry map is reported.
+func TestRegistryConcurrentUse(t *testing.T) {
+	probe := func(*Cluster, TaskInput) (*TaskResult, error) { return &TaskResult{Summary: "ok"}, nil }
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("test-concurrent-%d", i)
+	}
+	t.Cleanup(func() {
+		for _, n := range names {
+			unregisterTask(n)
+		}
+	})
+	if err := RegisterTask(Task{Name: names[0], Kind: TaskSingle, Run: probe}); err != nil {
+		t.Fatal(err)
+	}
+	c := testCluster(t)
+
+	const readers = 4
+	errs := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	wg.Add(readers + 1)
+	go func() {
+		defer wg.Done()
+		for _, n := range names[1:] {
+			if err := RegisterTask(Task{Name: n, Kind: TaskSingle, Run: probe}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if res, err := c.RunTask(names[0], TaskInput{}); err != nil || res.Summary != "ok" {
+					errs <- fmt.Errorf("RunTask(%s) = %v, %v", names[0], res, err)
+					return
+				}
+				if _, err := c.RunTask("no-such-task", TaskInput{}); err == nil {
+					errs <- errors.New("RunTask of an unknown task succeeded")
+					return
+				}
+				if len(Tasks()) == 0 {
+					errs <- errors.New("Tasks listed nothing")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, n := range names {
+		if _, ok := LookupTask(n); !ok {
+			t.Errorf("task %s missing after concurrent registration", n)
+		}
 	}
 }
 
