@@ -152,8 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, v := range nodes {
 		fmt.Fprintf(stdout, "    %s: %.3f\n", tree.Name(v), weights[i])
 	}
-	if plan := place.CombinerBlocks(tree, weights); plan != nil {
-		minority := plan.MinorityBlocks(weights)
+	if deep := place.HierarchyFor(tree).Deepest(); deep != nil {
+		plan, minority := deep.Levels[0], deep.CombinePays(weights)[0]
 		fmt.Fprintln(stdout, "  weak-cut combining blocks:")
 		for b, members := range plan.Blocks {
 			names := make([]string, len(members))

@@ -47,12 +47,12 @@ func (c *Cluster) AggregateBaseline(data [][]GroupValue, seed uint64) (*Aggregat
 }
 
 // AggregateAware computes per-group totals with single-level combiner-tree
-// aggregation: partial aggregates merge once per weak-cut block
-// (place.CombinerBlocks) before anything crosses a weak link, then the
-// merged block partials are hashed to capacity-weighted group homes. At
-// most two rounds; degrades to one round of capacity-weighted hashing when
-// the topology has no weak cut. AggregateMultiLevel generalizes it to the
-// full weak-cut hierarchy.
+// aggregation: partial aggregates merge once per block of the weak-cut
+// hierarchy's deepest level (place.Hierarchy.Deepest) before anything
+// crosses a weak link, then the merged block partials are hashed to
+// capacity-weighted group homes. At most two rounds; degrades to one
+// round of capacity-weighted hashing when the topology has no weak cut.
+// AggregateMultiLevel generalizes it to the full weak-cut hierarchy.
 func (c *Cluster) AggregateAware(data [][]GroupValue, seed uint64) (*AggregateResult, error) {
 	return c.aggregateWith(data, func(p aggregate.Placement) (*aggregate.Result, error) {
 		return aggregate.CombinerTreeSingle(c.t, p, seed, c.exec.netsimOpts()...)

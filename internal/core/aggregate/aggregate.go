@@ -29,8 +29,8 @@
 //   - Gather: all pairs to one node.
 //   - CombinerTree / CombinerTreeSingle (combiner.go): the place-engine
 //     trees — partials merge along the weak-cut hierarchy (once per block
-//     per level, or once per flat block) before hashing to
-//     capacity-weighted homes.
+//     per level, or once per block of its deepest level) before hashing
+//     to capacity-weighted homes.
 //
 // No asymptotic optimality is claimed for the extension; the E-series
 // experiment X1 reports measured ratios.

@@ -37,19 +37,25 @@ const tagUp netsim.Tag = 30
 // tier, not just the weakest. When no block pays anywhere the protocol
 // degrades to a single round of capacity-weighted hashing.
 func CombinerTree(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	return combinerTree(t, data, seed, place.CombineOptions{}, opts)
+	return combinerTree(t, data, seed, place.HierarchyFor(t), opts)
 }
 
-// CombinerTreeOpt is CombinerTree with an explicit combining-pays policy
-// (place.CombineOptions): the up-sweep schedule comes from UpSweepOpt
-// instead of UpSweep, so e.g. ParentRelative skips merge rounds for blocks
-// that dominate their parent on skewed bandwidth gradients. The zero
-// options reproduce CombinerTree exactly.
-func CombinerTreeOpt(t *topology.Tree, data Placement, seed uint64, copt place.CombineOptions, opts ...netsim.Option) (*Result, error) {
-	return combinerTree(t, data, seed, copt, opts)
+// CombinerTreeSingle is CombinerTree cut to one level: the hierarchy
+// truncated to its deepest level (place.Hierarchy.Deepest), whose blocks
+// are the tree's components after removing every weak edge. Round 1
+// merges the members' partials at the block combiner over strong
+// intra-block links — only in minority-capacity blocks, since a block
+// holding most of the capacity keeps most group homes inside itself and
+// would just pay an extra round — and round 2 hashes the merged partials
+// to capacity-weighted group homes. It is the ablation baseline the
+// multi-level CombinerTree is measured against (X7, golden harness).
+func CombinerTreeSingle(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
+	return combinerTree(t, data, seed, place.HierarchyFor(t).Deepest(), opts)
 }
 
-func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.CombineOptions, opts []netsim.Option) (*Result, error) {
+// combinerTree runs the up-sweep of hier (nil: no combining plan) and the
+// final capacity-weighted scatter.
+func combinerTree(t *topology.Tree, data Placement, seed uint64, hier *place.Hierarchy, opts []netsim.Option) (*Result, error) {
 	in, err := newInstance(t, data)
 	if err != nil {
 		return nil, err
@@ -60,10 +66,9 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 		return nil, err
 	}
 
-	hier := place.HierarchyFor(t)
 	var steps []place.UpStep
 	if hier != nil {
-		steps = hier.UpSweepOpt(weights, copt)
+		steps = hier.UpSweep(weights)
 	}
 
 	e := netsim.NewEngine(t, opts...)
@@ -75,7 +80,7 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 	var aggTid int64
 	if tc != nil {
 		aggTid = tc.NewTid("aggregate up-sweep")
-		hier.TraceCombine(tc, weights, copt)
+		hier.TraceCombine(tc, weights)
 	}
 	mLevels := mx.Counter("aggregate.upsweep_rounds")
 	mShipped := mx.Counter("aggregate.shipped_elements")
@@ -143,101 +148,6 @@ func combinerTree(t *topology.Tree, data Placement, seed uint64, copt place.Comb
 			}
 		}
 		partials = state
-	}
-
-	// Final round: hash the (block-merged) partials to their global homes.
-	scatterPartials(e, in, global, partials)
-	return collect(e, in, strategy), nil
-}
-
-// CombinerTreeSingle is the single-level combiner tree of the flat
-// CombinerBlocks decomposition — the hierarchy truncated to its deepest
-// level. The compute nodes are partitioned into the blocks of
-// place.CombinerBlocks (connected components after removing weak edges);
-// round 1 merges the members' partials at the block combiner over strong
-// intra-block links, round 2 hashes the merged block partials to global
-// group homes chosen with capacity weights, so each group crosses a weak
-// cut at most once per block — and rarely even that, since weak nodes
-// host few homes.
-//
-// Combining only engages for the minority-capacity blocks
-// (place.BlockPlan.MinorityBlocks): a multi-member block holding most of
-// the capacity keeps most group homes inside itself, so pre-merging its
-// partials saves nothing on any weak cut and just pays an extra round —
-// on a caterpillar, the strong middle block hashes directly while a
-// weak rack on a two-tier tree still merges before its thin uplink. When
-// no block qualifies the protocol degrades to a single round of
-// capacity-weighted hashing. It is kept as the ablation baseline the
-// multi-level CombinerTree is measured against (X7, golden harness).
-func CombinerTreeSingle(t *topology.Tree, data Placement, seed uint64, opts ...netsim.Option) (*Result, error) {
-	in, err := newInstance(t, data)
-	if err != nil {
-		return nil, err
-	}
-	weights := place.Capacities(t) // strictly positive by contract
-	global, err := chooserFor(hashing.Mix64(seed+0xa66), weights)
-	if err != nil {
-		return nil, err
-	}
-
-	// Restrict the plan to the blocks where the merge round pays.
-	plan := place.CombinerBlocks(t, weights)
-	var combines []bool
-	if plan != nil {
-		combines = plan.MinorityBlocks(weights)
-		any := false
-		for _, c := range combines {
-			any = any || c
-		}
-		if !any {
-			plan = nil
-		}
-	}
-
-	e := netsim.NewEngine(t, opts...)
-	partials := in.local
-	strategy := "combiner-tree"
-	if plan == nil {
-		strategy = "capacity-hash"
-	} else {
-		// Round 1: members of combining blocks push local partials to
-		// their block combiner; the combiner keeps its own partials local.
-		// Everyone else idles and sends directly in round 2.
-		x := e.Exchange()
-		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
-			i := indexOf(in.nodes, v)
-			b := plan.BlockOf[i]
-			if !combines[b] || plan.Combiner[b] == i || len(in.local[i]) == 0 {
-				return
-			}
-			out.Send(in.nodes[plan.Combiner[b]], tagUp, partialMsg(in.local[i], sortedGroups(in.local[i])))
-		})
-		x.Execute()
-		merged := make([]map[uint64]int64, len(in.nodes))
-		for i, v := range in.nodes {
-			b := plan.BlockOf[i]
-			if !combines[b] {
-				merged[i] = in.local[i]
-				continue
-			}
-			if plan.Combiner[b] != i {
-				merged[i] = nil // pushed up; nothing left to send globally
-				continue
-			}
-			m := make(map[uint64]int64, len(in.local[i]))
-			for g, val := range in.local[i] {
-				m[g] += val
-			}
-			ib := e.Inbox(v)
-			for mi := 0; mi < ib.Len(); mi++ {
-				msg := ib.At(mi)
-				if msg.Tag == tagUp {
-					decodePartials(m, msg.Keys)
-				}
-			}
-			merged[i] = m
-		}
-		partials = merged
 	}
 
 	// Final round: hash the (block-merged) partials to their global homes.

@@ -76,8 +76,8 @@ func TestCombinerTreeStrategySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Strategy != "combiner-tree" {
-		t.Errorf("single-level strategy = %s, want combiner-tree", single.Strategy)
+	if single.Strategy != "combiner-tree×1" {
+		t.Errorf("single-level strategy = %s, want combiner-tree×1", single.Strategy)
 	}
 	// The skewed two-tier has a depth-1 hierarchy, so the multi-level tree
 	// must reproduce the single-level protocol cost-exactly.
@@ -89,8 +89,8 @@ func TestCombinerTreeStrategySelection(t *testing.T) {
 // TestCombinerTreeMultiLevelBeatsSingle: on deep bandwidth gradients —
 // a tapered fat-tree (thin core) and a graded caterpillar — the recursive
 // combiner tree must merge at every tier and strictly beat the
-// single-level (CombinerBlocks) tree, which only merges at the finest
-// blocks. Both must still verify and dominate the exact bound.
+// single-level tree (the hierarchy's deepest level), which only merges at
+// the finest blocks. Both must still verify and dominate the exact bound.
 func TestCombinerTreeMultiLevelBeatsSingle(t *testing.T) {
 	taper, err := topology.FatTree(3, 2, 16, 0.25)
 	if err != nil {

@@ -1487,7 +1487,7 @@ func run(tr *topology.Tree, edges Placement, seed uint64, aware, witness bool, o
 	var phaseTid int64
 	if tc != nil {
 		phaseTid = tc.NewTid("graph cc phases")
-		pr.hier.TraceCombine(tc, pr.weights, place.CombineOptions{})
+		pr.hier.TraceCombine(tc, pr.weights)
 	}
 	mPhases := mx.Counter("graph.cc.phases")
 	mActive := mx.Histogram("graph.cc.active_edges")

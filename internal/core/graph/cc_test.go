@@ -299,6 +299,3 @@ func TestCCEdgeCases(t *testing.T) {
 		})
 	}
 }
-
-// The combining-plan unit tests moved to internal/core/place with the
-// block machinery (TestCombinerBlocksShapes, TestCombinerBlocksPartition).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"topompc/internal/core/place"
 	"topompc/internal/hashing"
 	"topompc/internal/netsim"
 	"topompc/internal/obs"
@@ -658,7 +657,7 @@ func runFast(tr *topology.Tree, edges Placement, seed uint64, tune FastTuning, o
 	var phaseTid int64
 	if tc != nil {
 		phaseTid = tc.NewTid("graph cc-fast phases")
-		pr.hier.TraceCombine(tc, pr.weights, place.CombineOptions{})
+		pr.hier.TraceCombine(tc, pr.weights)
 	}
 	mPhases := mx.Counter("graph.ccfast.phases")
 	mDbl := mx.Counter("graph.ccfast.doubling_rounds")

@@ -1,11 +1,5 @@
 package place
 
-import (
-	"math"
-
-	"topompc/internal/topology"
-)
-
 // BlockPlan is a per-cut combining plan: blocks partition the compute
 // indices, and each block routes its exchanges through one combiner member
 // before they cross the block boundary, so a duplicate-heavy payload
@@ -16,72 +10,9 @@ type BlockPlan struct {
 	Blocks   [][]int // block -> member compute indices
 }
 
-// CombinerBlocks derives the combining plan: blocks are the connected
-// components of the tree after removing its weak edges (bandwidth below
-// half the strongest finite link), so every block boundary is a weak cut
-// worth protecting and every intra-block link is strong. The combiner of a
-// block is its highest-weight member (weights indexed in ComputeNodes
-// order, typically Capacities). Returns nil when combining cannot help: a
-// single block (no weak cut) or all-singleton blocks. It is the deepest
-// level of the weak-cut Hierarchy, computed flat.
-func CombinerBlocks(t *topology.Tree, weights []float64) *BlockPlan {
-	maxW := 0.0
-	for e := 0; e < t.NumEdges(); e++ {
-		if w := t.Bandwidth(topology.EdgeID(e)); !math.IsInf(w, 1) && w > maxW {
-			maxW = w
-		}
-	}
-	if maxW == 0 {
-		return nil
-	}
-	plan := thresholdBlocks(t, weights, maxW/2)
-	if len(plan.Blocks) <= 1 {
-		return nil
-	}
-	multi := false
-	for _, members := range plan.Blocks {
-		if len(members) > 1 {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		return nil
-	}
-	return plan
-}
-
-// MinorityBlocks flags the blocks where an extra combining round pays off
-// under weight-proportional homing: multi-member blocks holding a minority
-// (at most half) of the total weight. Such a block's duplicate payloads
-// are mostly homed outside it, so merging them before the weak cut saves
-// up to a |block|× factor on the cut; a majority-weight block keeps most
-// payloads home anyway, and singleton blocks have nothing to merge — for
-// those the merge round is pure overhead. Weights are indexed in
-// ComputeNodes order, like CombinerBlocks.
-func (p *BlockPlan) MinorityBlocks(weights []float64) []bool {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	out := make([]bool, len(p.Blocks))
-	for b, members := range p.Blocks {
-		if len(members) < 2 {
-			continue
-		}
-		var blockW float64
-		for _, i := range members {
-			blockW += weights[i]
-		}
-		out[b] = minorityPays(blockW, total)
-	}
-	return out
-}
-
-// minorityPays is the shared combining-pays predicate of MinorityBlocks
-// and Hierarchy.CombinePays: a block holding at most half of the total
-// weight homes most of its payloads outside itself, so a pre-merge round
-// saves on its boundary cut. Symmetric topologies split into exactly-half
+// minorityPays is the combining-pays predicate of Hierarchy.CombinePays:
+// a block holding at most half of the total weight homes most of its
+// payloads outside itself, so a pre-merge round saves on its boundary cut. Symmetric topologies split into exactly-half
 // blocks whose weight sums differ from total/2 only by float rounding;
 // the tolerance keeps the boundary case paying on both sides of the
 // rounding.

@@ -2,27 +2,26 @@ package place
 
 import (
 	"math"
-	"sort"
 
 	"topompc/internal/topology"
 )
 
 // Hierarchy is the recursive weak-cut decomposition of a tree: a cut tree
 // over the compute nodes that exposes one combining level per bandwidth
-// band instead of CombinerBlocks' single threshold.
+// band.
 //
 // Levels are partitions of the compute indices, coarsest first. Level k is
 // the set of connected components of the tree after removing every edge
 // with bandwidth below Thresholds[k]; thresholds grow level by level, so
 // each level strictly refines the previous one (every level-k block is a
-// union of level-k+1 blocks) and the deepest level's partition — cut at
-// half the strongest link — is exactly the CombinerBlocks partition.
-// Thresholds double from the weakest link upward (capped at half the
-// strongest link), so each level peels one factor-2 bandwidth band: on a
-// tapered fat-tree the coarse levels are the pods behind the thin core
-// links and the deep levels are the racks, while a single-band topology
-// (two-tier, star) collapses to depth 1 and reproduces the flat
-// CombinerBlocks decomposition.
+// union of level-k+1 blocks) and the deepest level cuts at half the
+// strongest link: its blocks are the components of the tree after
+// removing every weak edge (see Deepest). Thresholds double from the
+// weakest link upward (capped at half the strongest link), so each level
+// peels one factor-2 bandwidth band: on a tapered fat-tree the coarse
+// levels are the pods behind the thin core links and the deep levels are
+// the racks, while a single-band topology (two-tier, star) collapses to
+// depth 1.
 //
 // Protocols run the hierarchy bottom-up: payloads merge once per block per
 // level (deepest first, where the pays-off test of CombinePays holds)
@@ -43,25 +42,9 @@ type Hierarchy struct {
 	Parents [][]int
 }
 
-// HierarchyOptions selects how NewHierarchyOpt places level thresholds.
-// The zero value reproduces NewHierarchy exactly (factor-2 bands).
-type HierarchyOptions struct {
-	// CutGapLevels places one level per distinct edge bandwidth instead
-	// of per factor-2 band: the thresholds are exactly the distinct
-	// finite bandwidths in ascending order, so each level peels off one
-	// weight class of edges — the levels sit at the actual gaps in the
-	// bandwidth distribution rather than at imposed powers of two. On a
-	// Gomory–Hu cut tree (topology.FromGraph), whose edge weights are
-	// true min-cut capacities of the underlying network, this aligns the
-	// combining levels with the network's real cut structure. The
-	// deepest level keeps only the strongest links (threshold maxW, not
-	// maxW/2), so it can refine the CombinerBlocks partition.
-	CutGapLevels bool
-}
-
 // bandThresholds is the default factor-2 threshold ladder: each
 // threshold doubles the weakest bandwidth at or above the previous one,
-// capped at half the strongest link (the CombinerBlocks cut).
+// capped at half the strongest link (the deepest level's cut).
 func bandThresholds(t *topology.Tree) []float64 {
 	maxW := 0.0
 	for e := 0; e < t.NumEdges(); e++ {
@@ -96,40 +79,13 @@ func bandThresholds(t *topology.Tree) []float64 {
 	return thresholds
 }
 
-// cutGapThresholds is the ladder of distinct finite bandwidths,
-// ascending. Cutting at each distinct value in turn removes exactly one
-// weight class per level; the first value cuts nothing and is dropped by
-// the single-block skip in the level loop.
-func cutGapThresholds(t *topology.Tree) []float64 {
-	seen := make(map[float64]bool)
-	var vals []float64
-	for e := 0; e < t.NumEdges(); e++ {
-		if w := t.Bandwidth(topology.EdgeID(e)); !math.IsInf(w, 1) && !seen[w] {
-			seen[w] = true
-			vals = append(vals, w)
-		}
-	}
-	sort.Float64s(vals)
-	return vals
-}
-
 // NewHierarchy builds the weak-cut hierarchy of a tree. weights (indexed
 // in ComputeNodes order, typically Capacities) choose each block's
-// combiner, exactly as in CombinerBlocks. Returns nil when no level has a
-// weak cut worth protecting: a bandwidth-uniform tree (within a factor 2),
-// or one where every split isolates single nodes at every level.
+// combiner: its heaviest member. Returns nil when no level has a weak cut
+// worth protecting: a bandwidth-uniform tree (within a factor 2), or one
+// where every split isolates single nodes at every level.
 func NewHierarchy(t *topology.Tree, weights []float64) *Hierarchy {
-	return NewHierarchyOpt(t, weights, HierarchyOptions{})
-}
-
-// NewHierarchyOpt is NewHierarchy under explicit HierarchyOptions.
-func NewHierarchyOpt(t *topology.Tree, weights []float64, opt HierarchyOptions) *Hierarchy {
-	var thresholds []float64
-	if opt.CutGapLevels {
-		thresholds = cutGapThresholds(t)
-	} else {
-		thresholds = bandThresholds(t)
-	}
+	thresholds := bandThresholds(t)
 	if len(thresholds) == 0 {
 		return nil
 	}
@@ -159,15 +115,24 @@ func NewHierarchyOpt(t *topology.Tree, weights []float64, opt HierarchyOptions) 
 	}
 
 	// A hierarchy where every block at every level is a singleton has
-	// nothing to merge anywhere; mirror CombinerBlocks and return nil.
+	// nothing to merge anywhere.
 	for _, plan := range h.Levels {
-		for _, members := range plan.Blocks {
-			if len(members) > 1 {
-				return h
-			}
+		if hasMultiBlock(plan) {
+			return h
 		}
 	}
 	return nil
+}
+
+// hasMultiBlock reports whether some block of the plan has two or more
+// members, i.e. whether combining at this level can merge anything.
+func hasMultiBlock(plan *BlockPlan) bool {
+	for _, members := range plan.Blocks {
+		if len(members) > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // thresholdBlocks computes the block plan at one bandwidth threshold:
@@ -227,6 +192,28 @@ func thresholdBlocks(t *topology.Tree, weights []float64, th float64) *BlockPlan
 // Depth reports the number of levels.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 
+// Deepest is the single-level truncation of the hierarchy: a one-level
+// Hierarchy holding only the deepest level — the tree's components after
+// removing every edge below half the strongest link — and sharing its
+// BlockPlan. With no parent level, its CombinePays verdicts are the plain
+// minority test per multi-member block. Returns nil when h is nil or the
+// deepest level has no block of two or more members (combining at that
+// level cannot merge anything).
+func (h *Hierarchy) Deepest() *Hierarchy {
+	if h == nil {
+		return nil
+	}
+	k := h.Depth() - 1
+	if !hasMultiBlock(h.Levels[k]) {
+		return nil
+	}
+	return &Hierarchy{
+		Levels:     []*BlockPlan{h.Levels[k]},
+		Thresholds: []float64{h.Thresholds[k]},
+		Parents:    [][]int{nil},
+	}
+}
+
 // BlockWeights sums the given per-compute-node weights over each block of
 // one level — the per-level capacities the combining decision compares.
 func (h *Hierarchy) BlockWeights(level int, weights []float64) []float64 {
@@ -240,40 +227,19 @@ func (h *Hierarchy) BlockWeights(level int, weights []float64) []float64 {
 	return out
 }
 
-// CombineOptions tunes the combining-pays decision of CombinePaysOpt and
-// UpSweepOpt. The zero value reproduces CombinePays and UpSweep exactly.
-type CombineOptions struct {
-	// ParentRelative compares each block's weight against its parent
-	// block's weight instead of the global total (the coarsest level,
-	// whose parent is the whole machine, is unaffected). The default
-	// total-relative test over-engages on bandwidth gradients: a block
-	// holding a minority of the machine but a majority of its parent has
-	// most of the surviving duplicates merged at the parent's combiner
-	// one level up anyway, so its own merge round buys little cut traffic
-	// and costs a full extra round on the block's internal links.
-	ParentRelative bool
-}
-
-// CombinePays is the per-level generalization of BlockPlan.MinorityBlocks:
-// for every level it flags the blocks where a merge round pays off under
-// weight-proportional homing. A block pays when it has at least two
-// members holding a minority (at most half, within float tolerance) of
+// CombinePays flags, for every level, the blocks where a merge round pays
+// off under weight-proportional homing. A block pays when it has at least
+// two members holding a minority (at most half, within float tolerance) of
 // the total weight — most of its payloads are homed outside it, so
 // merging them before the level's cut saves up to a |block|× factor there
 // — and it is not identical to its parent block, which already merged one
 // level up. Weights are indexed in ComputeNodes order.
 func (h *Hierarchy) CombinePays(weights []float64) [][]bool {
-	return h.CombinePaysOpt(weights, CombineOptions{})
-}
-
-// CombinePaysOpt is CombinePays under explicit CombineOptions.
-func (h *Hierarchy) CombinePaysOpt(weights []float64, opt CombineOptions) [][]bool {
 	var total float64
 	for _, w := range weights {
 		total += w
 	}
 	out := make([][]bool, len(h.Levels))
-	var parentW []float64 // level k-1 block weights (parent-relative mode)
 	for k, plan := range h.Levels {
 		pays := make([]bool, len(plan.Blocks))
 		for b, members := range plan.Blocks {
@@ -290,16 +256,9 @@ func (h *Hierarchy) CombinePaysOpt(weights []float64, opt CombineOptions) [][]bo
 			for _, i := range members {
 				w += weights[i]
 			}
-			denom := total
-			if opt.ParentRelative && k > 0 {
-				denom = parentW[h.Parents[k][b]]
-			}
-			pays[b] = minorityPays(w, denom)
+			pays[b] = minorityPays(w, total)
 		}
 		out[k] = pays
-		if opt.ParentRelative {
-			parentW = h.BlockWeights(k, weights)
-		}
 	}
 	return out
 }
@@ -325,14 +284,7 @@ type UpStep struct {
 // schedule means combining pays nowhere and a single direct round is
 // optimal.
 func (h *Hierarchy) UpSweep(weights []float64) []UpStep {
-	return h.UpSweepOpt(weights, CombineOptions{})
-}
-
-// UpSweepOpt is UpSweep under explicit CombineOptions: with ParentRelative
-// set, levels whose every block holds a majority of its parent drop out of
-// the schedule entirely, shortening the sweep on skewed gradients.
-func (h *Hierarchy) UpSweepOpt(weights []float64, opt CombineOptions) []UpStep {
-	pays := h.CombinePaysOpt(weights, opt)
+	pays := h.CombinePays(weights)
 	var steps []UpStep
 	for k := len(h.Levels) - 1; k >= 0; k-- {
 		plan := h.Levels[k]
@@ -355,9 +307,8 @@ func (h *Hierarchy) UpSweepOpt(weights []float64, opt CombineOptions) []UpStep {
 
 // Memo keys for the per-tree caches (see topology.Tree.Memo).
 type (
-	capacitiesMemoKey      struct{}
-	hierarchyMemoKey       struct{}
-	hierarchyCutGapMemoKey struct{}
+	capacitiesMemoKey struct{}
+	hierarchyMemoKey  struct{}
 )
 
 // HierarchyFor returns the tree's weak-cut hierarchy under capacity
@@ -366,17 +317,5 @@ type (
 func HierarchyFor(t *topology.Tree) *Hierarchy {
 	return t.Memo(hierarchyMemoKey{}, func() any {
 		return NewHierarchy(t, Capacities(t))
-	}).(*Hierarchy)
-}
-
-// HierarchyForOpt is HierarchyFor under explicit HierarchyOptions,
-// memoized per option set (the default options share HierarchyFor's
-// cache entry, so mixing callers never recomputes).
-func HierarchyForOpt(t *topology.Tree, opt HierarchyOptions) *Hierarchy {
-	if !opt.CutGapLevels {
-		return HierarchyFor(t)
-	}
-	return t.Memo(hierarchyCutGapMemoKey{}, func() any {
-		return NewHierarchyOpt(t, Capacities(t), opt)
 	}).(*Hierarchy)
 }

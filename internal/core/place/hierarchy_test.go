@@ -1,6 +1,8 @@
 package place
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"topompc/internal/topology"
@@ -22,11 +24,70 @@ func deepTrees(t *testing.T) map[string]*topology.Tree {
 	return map[string]*topology.Tree{"fattree-taper": taper, "caterpillar-grade": grade}
 }
 
+// checkPartition fails t unless plan partitions the n compute indices
+// exactly: BlockOf covers all n, every index sits in exactly one
+// non-empty block, BlockOf agrees with Blocks, and every combiner is a
+// member of its own block.
+func checkPartition(t *testing.T, label string, n int, plan *BlockPlan) {
+	t.Helper()
+	if len(plan.BlockOf) != n {
+		t.Fatalf("%s: BlockOf covers %d of %d compute nodes", label, len(plan.BlockOf), n)
+	}
+	seen := make(map[int]bool)
+	for b, members := range plan.Blocks {
+		if len(members) == 0 {
+			t.Errorf("%s: block %d empty", label, b)
+		}
+		for _, i := range members {
+			if seen[i] {
+				t.Errorf("%s: compute %d in two blocks", label, i)
+			}
+			seen[i] = true
+			if plan.BlockOf[i] != b {
+				t.Errorf("%s: BlockOf[%d]=%d, member of %d", label, i, plan.BlockOf[i], b)
+			}
+		}
+		combinerIn := false
+		for _, i := range members {
+			combinerIn = combinerIn || i == plan.Combiner[b]
+		}
+		if !combinerIn {
+			t.Errorf("%s: combiner %d outside block %d", label, plan.Combiner[b], b)
+		}
+	}
+	if len(seen) != n {
+		t.Errorf("%s: covers %d of %d compute indices", label, len(seen), n)
+	}
+}
+
+// TestCombinerBlocksPartition: on every random tree (with both capacity
+// and uniform weights), the single-level combining plan — the deepest
+// hierarchy level as returned by Deepest() — partitions the compute
+// index set exactly and holds at least one multi-member block.
+func TestCombinerBlocksPartition(t *testing.T) {
+	for ti, tree := range randomTrees(t) {
+		for wi, w := range [][]float64{Capacities(tree), Uniform(tree.NumCompute())} {
+			deep := NewHierarchy(tree, w).Deepest()
+			if deep == nil {
+				continue
+			}
+			if len(deep.Levels) != 1 {
+				t.Fatalf("tree %d weights %d: Deepest() has %d levels, want 1", ti, wi, len(deep.Levels))
+			}
+			plan := deep.Levels[0]
+			checkPartition(t, fmt.Sprintf("tree %d weights %d", ti, wi), tree.NumCompute(), plan)
+			if !hasMultiBlock(plan) {
+				t.Errorf("tree %d weights %d: Deepest() plan has no multi-member block: %v", ti, wi, plan.Blocks)
+			}
+		}
+	}
+}
+
 // TestHierarchyRefines: on every random tree (and both weight vectors),
-// the hierarchy's levels strictly refine — every level covers the compute
-// set exactly, every level-k+1 block is contained in one level-k block,
-// every level has strictly more blocks than the previous, and the
-// thresholds strictly increase.
+// the hierarchy's levels strictly refine — every level partitions the
+// compute set exactly (checkPartition), every level-k+1 block is
+// contained in one level-k block, every level has strictly more blocks
+// than the previous, and the thresholds strictly increase.
 func TestHierarchyRefines(t *testing.T) {
 	for ti, tree := range randomTrees(t) {
 		for _, w := range [][]float64{Capacities(tree), Uniform(tree.NumCompute())} {
@@ -39,32 +100,7 @@ func TestHierarchyRefines(t *testing.T) {
 					ti, len(h.Levels), len(h.Thresholds), len(h.Parents))
 			}
 			for k, plan := range h.Levels {
-				// Each level partitions the compute indices.
-				seen := make(map[int]bool)
-				for b, members := range plan.Blocks {
-					if len(members) == 0 {
-						t.Errorf("tree %d level %d: block %d empty", ti, k, b)
-					}
-					for _, i := range members {
-						if seen[i] {
-							t.Errorf("tree %d level %d: compute %d in two blocks", ti, k, i)
-						}
-						seen[i] = true
-						if plan.BlockOf[i] != b {
-							t.Errorf("tree %d level %d: BlockOf[%d]=%d, member of %d", ti, k, i, plan.BlockOf[i], b)
-						}
-					}
-					combinerIn := false
-					for _, i := range members {
-						combinerIn = combinerIn || i == plan.Combiner[b]
-					}
-					if !combinerIn {
-						t.Errorf("tree %d level %d: combiner %d outside block %d", ti, k, plan.Combiner[b], b)
-					}
-				}
-				if len(seen) != tree.NumCompute() {
-					t.Errorf("tree %d level %d: covers %d of %d compute indices", ti, k, len(seen), tree.NumCompute())
-				}
+				checkPartition(t, fmt.Sprintf("tree %d level %d", ti, k), tree.NumCompute(), plan)
 				if k == 0 {
 					continue
 				}
@@ -91,67 +127,119 @@ func TestHierarchyRefines(t *testing.T) {
 	}
 }
 
-// TestHierarchyDeepestIsCombinerBlocks: the deepest level — cut at half
-// the strongest link — reproduces today's CombinerBlocks exactly: same
-// blocks in the same order, same combiners; and the hierarchy is nil
-// exactly when no level has anything to merge (which implies the flat
-// plan is nil too).
-func TestHierarchyDeepestIsCombinerBlocks(t *testing.T) {
+// referenceDeepest is the deepest level computed flat, as a test oracle:
+// the components of the tree after removing every edge below half the
+// strongest finite link, or nil when that leaves a single block or only
+// singleton blocks (combining cannot merge anything).
+func referenceDeepest(tree *topology.Tree, w []float64) *BlockPlan {
+	maxW := 0.0
+	for e := 0; e < tree.NumEdges(); e++ {
+		if bw := tree.Bandwidth(topology.EdgeID(e)); !math.IsInf(bw, 1) && bw > maxW {
+			maxW = bw
+		}
+	}
+	if maxW == 0 {
+		return nil
+	}
+	plan := thresholdBlocks(tree, w, maxW/2)
+	if len(plan.Blocks) <= 1 {
+		return nil
+	}
+	for _, members := range plan.Blocks {
+		if len(members) > 1 {
+			return plan
+		}
+	}
+	return nil
+}
+
+// TestHierarchyDeepestMatchesReference: on every random tree, Deepest()
+// is nil exactly when the flat reference finds nothing to merge;
+// otherwise it is a one-level hierarchy sharing the deepest level's plan,
+// with the reference's blocks in the same order, the same combiners, and
+// pays verdicts equal to the minority test on every multi-member block.
+func TestHierarchyDeepestMatchesReference(t *testing.T) {
 	for ti, tree := range randomTrees(t) {
 		w := Capacities(tree)
 		h := NewHierarchy(tree, w)
-		flat := CombinerBlocks(tree, w)
-		if h == nil {
-			if flat != nil {
-				t.Fatalf("tree %d: nil hierarchy but CombinerBlocks found plan %v", ti, flat.Blocks)
-			}
+		deep := h.Deepest()
+		ref := referenceDeepest(tree, w)
+		if (deep == nil) != (ref == nil) {
+			t.Fatalf("tree %d: Deepest() nil = %v, reference nil = %v", ti, deep == nil, ref == nil)
+		}
+		if deep == nil {
 			continue
 		}
-		deep := h.Levels[h.Depth()-1]
-		if flat == nil {
-			// CombinerBlocks is nil for a single block (impossible here: a
-			// level always has ≥ 2 blocks) or all-singleton blocks; a
-			// non-nil hierarchy may still keep that finest partition while
-			// a coarser level carries the mergeable blocks.
-			for b, members := range deep.Blocks {
-				if len(members) > 1 {
-					t.Fatalf("tree %d: CombinerBlocks nil but deepest level has multi-member block %d %v",
-						ti, b, members)
-				}
-			}
-			continue
+		if deep.Depth() != 1 || len(deep.Thresholds) != 1 || len(deep.Parents) != 1 || deep.Parents[0] != nil {
+			t.Fatalf("tree %d: Deepest() is not a one-level root hierarchy: %+v", ti, deep)
 		}
-		if len(deep.Blocks) != len(flat.Blocks) {
-			t.Fatalf("tree %d: deepest level has %d blocks, CombinerBlocks %d", ti, len(deep.Blocks), len(flat.Blocks))
+		plan := deep.Levels[0]
+		if plan != h.Levels[h.Depth()-1] {
+			t.Fatalf("tree %d: Deepest() does not share the deepest level's plan", ti)
 		}
-		for b := range flat.Blocks {
-			if len(deep.Blocks[b]) != len(flat.Blocks[b]) {
-				t.Fatalf("tree %d block %d: sizes %d vs %d", ti, b, len(deep.Blocks[b]), len(flat.Blocks[b]))
+		if len(plan.Blocks) != len(ref.Blocks) {
+			t.Fatalf("tree %d: deepest level has %d blocks, reference %d", ti, len(plan.Blocks), len(ref.Blocks))
+		}
+		for b := range ref.Blocks {
+			if len(plan.Blocks[b]) != len(ref.Blocks[b]) {
+				t.Fatalf("tree %d block %d: sizes %d vs %d", ti, b, len(plan.Blocks[b]), len(ref.Blocks[b]))
 			}
-			for j := range flat.Blocks[b] {
-				if deep.Blocks[b][j] != flat.Blocks[b][j] {
+			for j := range ref.Blocks[b] {
+				if plan.Blocks[b][j] != ref.Blocks[b][j] {
 					t.Fatalf("tree %d block %d: member %d differs", ti, b, j)
 				}
 			}
-			if deep.Combiner[b] != flat.Combiner[b] {
-				t.Fatalf("tree %d block %d: combiner %d vs %d", ti, b, deep.Combiner[b], flat.Combiner[b])
+			if plan.Combiner[b] != ref.Combiner[b] {
+				t.Fatalf("tree %d block %d: combiner %d vs %d", ti, b, plan.Combiner[b], ref.Combiner[b])
 			}
 		}
-		for i := range flat.BlockOf {
-			if deep.BlockOf[i] != flat.BlockOf[i] {
-				t.Fatalf("tree %d: BlockOf[%d] %d vs %d", ti, i, deep.BlockOf[i], flat.BlockOf[i])
+		for i := range ref.BlockOf {
+			if plan.BlockOf[i] != ref.BlockOf[i] {
+				t.Fatalf("tree %d: BlockOf[%d] %d vs %d", ti, i, plan.BlockOf[i], ref.BlockOf[i])
 			}
 		}
-		// Level-0 pays coincides with MinorityBlocks when the hierarchy is
-		// flat (depth 1).
-		if h.Depth() == 1 {
-			pays := h.CombinePays(w)[0]
-			minority := flat.MinorityBlocks(w)
-			for b := range pays {
-				if pays[b] != minority[b] {
-					t.Errorf("tree %d block %d: pays %v != MinorityBlocks %v", ti, b, pays[b], minority[b])
-				}
+		var total float64
+		for _, x := range w {
+			total += x
+		}
+		pays := deep.CombinePays(w)[0]
+		for b, members := range ref.Blocks {
+			var blockW float64
+			for _, i := range members {
+				blockW += w[i]
 			}
+			want := len(members) > 1 && minorityPays(blockW, total)
+			if pays[b] != want {
+				t.Errorf("tree %d block %d: pays %v, minority test %v", ti, b, pays[b], want)
+			}
+		}
+	}
+}
+
+// TestCombinerBlocksShapes checks the single-level combining plan
+// (Deepest()) on the canonical fixtures.
+func TestCombinerBlocksShapes(t *testing.T) {
+	trees := testTrees(t)
+	// Uniform star: no weak edge, no plan.
+	if deep := NewHierarchy(trees["star"], Uniform(trees["star"].NumCompute())).Deepest(); deep != nil {
+		t.Errorf("star: unexpected combining plan %+v", deep.Levels[0])
+	}
+	// Skewed two-tier: the weak uplink splits the racks into two blocks.
+	deep := NewHierarchy(trees["twotier-skew"], Uniform(trees["twotier-skew"].NumCompute())).Deepest()
+	if deep == nil {
+		t.Fatal("twotier-skew: expected a combining plan")
+	}
+	plan := deep.Levels[0]
+	if len(plan.Blocks) != 2 {
+		t.Fatalf("twotier-skew: %d blocks, want 2 (%v)", len(plan.Blocks), plan.Blocks)
+	}
+	for i, b := range plan.BlockOf {
+		want := 0
+		if i >= 4 {
+			want = 1
+		}
+		if b != want {
+			t.Errorf("compute %d in block %d, want %d", i, b, want)
 		}
 	}
 }

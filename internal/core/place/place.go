@@ -16,10 +16,9 @@
 //     (CombinePays) and a bottom-up merge schedule (UpSweep). Protocols
 //     merge payloads once per block per level before crossing that
 //     level's cut (graph label exchanges, multi-level combiner trees).
-//   - CombinerBlocks — the flat single-threshold truncation of the
-//     hierarchy (its deepest level): blocks are the connected components
-//     of the tree after removing its weak edges, and each block names a
-//     combiner member.
+//     Its single-level truncation (Hierarchy.Deepest) keeps only the
+//     deepest level: the components of the tree after removing its weak
+//     edges, each block naming a combiner member.
 //   - BalancedPartition — the α/β edge classification (§3.3) and the
 //     load-balanced partition of Algorithm 3 / Definition 1, driven by
 //     the data loads rather than the bandwidths (intersect, join,
@@ -38,7 +37,7 @@
 //
 // Consumers: multijoin (Capacities + AssignCells), graph (Capacities +
 // Hierarchy), sorting (Proportional + Splitters + Capacities), aggregate
-// (Capacities + Hierarchy + CombinerBlocks + BalancedPartition), intersect
+// (Capacities + Hierarchy + BalancedPartition), intersect
 // and join (BalancedPartition). The package sits between internal/topology
 // and the protocol packages and must not import any of them.
 package place

@@ -95,78 +95,6 @@ func TestCapacities(t *testing.T) {
 	}
 }
 
-// TestCombinerBlocksPartition: on every random tree (with both capacity
-// and uniform weights), a non-nil plan's blocks partition the compute
-// index set exactly: every index in exactly one block, BlockOf consistent
-// with Blocks, and every combiner a member of its own block.
-func TestCombinerBlocksPartition(t *testing.T) {
-	for ti, tree := range randomTrees(t) {
-		for _, w := range [][]float64{Capacities(tree), Uniform(tree.NumCompute())} {
-			plan := CombinerBlocks(tree, w)
-			if plan == nil {
-				continue
-			}
-			if len(plan.BlockOf) != tree.NumCompute() {
-				t.Fatalf("tree %d: BlockOf covers %d of %d compute nodes", ti, len(plan.BlockOf), tree.NumCompute())
-			}
-			seen := make(map[int]int)
-			for b, members := range plan.Blocks {
-				if len(members) == 0 {
-					t.Errorf("tree %d: block %d is empty", ti, b)
-				}
-				for _, i := range members {
-					if prev, dup := seen[i]; dup {
-						t.Errorf("tree %d: compute %d in blocks %d and %d", ti, i, prev, b)
-					}
-					seen[i] = b
-					if plan.BlockOf[i] != b {
-						t.Errorf("tree %d: BlockOf[%d] = %d, member of block %d", ti, i, plan.BlockOf[i], b)
-					}
-				}
-				inBlock := false
-				for _, i := range members {
-					if i == plan.Combiner[b] {
-						inBlock = true
-					}
-				}
-				if !inBlock {
-					t.Errorf("tree %d: combiner %d not a member of block %d", ti, plan.Combiner[b], b)
-				}
-			}
-			if len(seen) != tree.NumCompute() {
-				t.Errorf("tree %d: blocks cover %d of %d compute indices", ti, len(seen), tree.NumCompute())
-			}
-		}
-	}
-}
-
-// TestCombinerBlocksShapes checks the combining plan on the canonical
-// fixtures.
-func TestCombinerBlocksShapes(t *testing.T) {
-	trees := testTrees(t)
-	// Uniform star: no weak edge, no plan.
-	if plan := CombinerBlocks(trees["star"], Uniform(trees["star"].NumCompute())); plan != nil {
-		t.Errorf("star: unexpected combining plan %+v", plan)
-	}
-	// Skewed two-tier: the weak uplink splits the racks into two blocks.
-	plan := CombinerBlocks(trees["twotier-skew"], Uniform(trees["twotier-skew"].NumCompute()))
-	if plan == nil {
-		t.Fatal("twotier-skew: expected a combining plan")
-	}
-	if len(plan.Blocks) != 2 {
-		t.Fatalf("twotier-skew: %d blocks, want 2 (%v)", len(plan.Blocks), plan.Blocks)
-	}
-	for i, b := range plan.BlockOf {
-		want := 0
-		if i >= 4 {
-			want = 1
-		}
-		if b != want {
-			t.Errorf("compute %d in block %d, want %d", i, b, want)
-		}
-	}
-}
-
 // TestProportionalLemma9: counts sum exactly to n with every prefix within
 // 1 of its exact proportional share, over random float weights.
 func TestProportionalLemma9(t *testing.T) {

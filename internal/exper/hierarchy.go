@@ -14,10 +14,10 @@ import (
 // Hierarchy-depth experiment: how the recursive weak-cut hierarchy's
 // depth translates into combining wins. Each topology of the zoo runs the
 // same duplicate-heavy aggregation three ways — flat uniform hashing,
-// the single-level combiner tree (CombinerBlocks, the hierarchy truncated
-// to its deepest level), and the full multi-level combiner tree — so the
-// two win columns separate what the flat decomposition buys from what the
-// extra hierarchy levels buy. Single-band topologies (depth ≤ 1) must
+// the single-level combiner tree (the hierarchy truncated to its deepest
+// level, place.Hierarchy.Deepest), and the full multi-level combiner
+// tree — so the two win columns separate what one merge level buys from
+// what the extra hierarchy levels buy. Single-band topologies (depth ≤ 1) must
 // show multi/single parity; the deep-gradient shapes (tapered fat-tree,
 // graded caterpillar, three-tier datacenter) are where the extra levels
 // pay.
@@ -80,7 +80,7 @@ func runX7(cfg Config) ([]Table, error) {
 		Title: "X7: hierarchy depth vs cost (multi-level vs single-level vs flat aggregation)",
 		Note: "Groups drawn from a shared low-cardinality pool (heavy duplication). multi = " +
 			"CombinerTree on the full weak-cut hierarchy (merge per block per level), single = " +
-			"the CombinerBlocks truncation (one merge level), flat = uniform hashing. Depth ≤ 1 " +
+			"the hierarchy cut to its deepest level (one merge level), flat = uniform hashing. Depth ≤ 1 " +
 			"topologies must show ~1.0 multi/single; the deep gradients pay the extra rounds " +
 			"back on every tier's cut. Totals verified on every run.",
 		Headers: []string{"topology", "depth", "cuts", "records", "multi cost", "single cost", "flat cost",

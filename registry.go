@@ -102,6 +102,11 @@ var (
 // never shadows an earlier one.
 var ErrDuplicateTask = errors.New("topompc: duplicate task name")
 
+// ErrTaskPanic is returned by RunTask when the task panics — in its own
+// code, or in a Plan callback or par shard re-raised on the calling
+// goroutine. The error names the task and carries the panic value.
+var ErrTaskPanic = errors.New("topompc: task panicked")
+
 // ErrEmptyTaskName is returned by RegisterTask for a task with no name.
 var ErrEmptyTaskName = errors.New("topompc: task name must not be empty")
 
@@ -150,12 +155,18 @@ func LookupTask(name string) (Task, bool) {
 	return t, ok
 }
 
-// RunTask executes the named task on the cluster.
-func (c *Cluster) RunTask(name string, in TaskInput) (*TaskResult, error) {
+// RunTask executes the named task on the cluster. A panic inside the
+// task is contained and returned as an ErrTaskPanic error.
+func (c *Cluster) RunTask(name string, in TaskInput) (res *TaskResult, err error) {
 	t, ok := LookupTask(name)
 	if !ok {
 		return nil, fmt.Errorf("topompc: unknown task %q (have %v)", name, taskNames())
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("%w: task %q: %v", ErrTaskPanic, name, r)
+		}
+	}()
 	return t.Run(c, in)
 }
 

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"topompc/internal/dataset"
+	"topompc/internal/netsim"
+	"topompc/internal/topology"
 )
 
 func testCluster(t *testing.T) *Cluster {
@@ -154,6 +156,36 @@ func TestRegisterTaskDuplicateRejected(t *testing.T) {
 	}
 	if err := RegisterTask(Task{}); !errors.Is(err, ErrEmptyTaskName) {
 		t.Errorf("empty name: got %v, want ErrEmptyTaskName", err)
+	}
+}
+
+// TestRunTaskContainsPlanPanic: a panic inside a Plan callback — inline
+// at one worker, re-raised from a worker goroutine at four — reaches the
+// caller of RunTask as an ErrTaskPanic error naming the task.
+func TestRunTaskContainsPlanPanic(t *testing.T) {
+	name := "test-plan-panic"
+	err := RegisterTask(Task{Name: name, Kind: TaskSingle, Run: func(c *Cluster, in TaskInput) (*TaskResult, error) {
+		x := netsim.NewEngine(c.t, c.exec.netsimOpts()...).Exchange()
+		x.Plan(func(v topology.NodeID, out *netsim.Outbox) {
+			panic("plan boom")
+		})
+		x.Execute()
+		return &TaskResult{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unregisterTask(name)
+	for _, workers := range []int{1, 4} {
+		c := testCluster(t)
+		c.SetExecOptions(ExecOptions{Workers: workers})
+		res, err := c.RunTask(name, TaskInput{})
+		if !errors.Is(err, ErrTaskPanic) {
+			t.Fatalf("workers=%d: got (%v, %v), want ErrTaskPanic", workers, res, err)
+		}
+		if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "plan boom") {
+			t.Errorf("workers=%d: error should name the task and the panic: %v", workers, err)
+		}
 	}
 }
 
