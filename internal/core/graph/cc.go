@@ -122,53 +122,6 @@ func compactMinK1(ks []uint64) []uint64 {
 	return out
 }
 
-// radixSortUint64 sorts ascending with an LSD byte radix, skipping byte
-// lanes that are constant across the slice (index-packed keys rarely use
-// more than a few). Returns the sorted slice and the scratch buffer, which
-// may have swapped roles.
-func radixSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
-	if len(a) < 64 {
-		slices.Sort(a)
-		return a, tmp
-	}
-	if cap(tmp) < len(a) {
-		tmp = make([]uint64, len(a))
-	}
-	tmp = tmp[:len(a)]
-	var hist [8][256]int32
-	for _, v := range a {
-		hist[0][v&0xff]++
-		hist[1][(v>>8)&0xff]++
-		hist[2][(v>>16)&0xff]++
-		hist[3][(v>>24)&0xff]++
-		hist[4][(v>>32)&0xff]++
-		hist[5][(v>>40)&0xff]++
-		hist[6][(v>>48)&0xff]++
-		hist[7][(v>>56)&0xff]++
-	}
-	src, dst := a, tmp
-	for pass := 0; pass < 8; pass++ {
-		sh := uint(pass) * 8
-		h := &hist[pass]
-		if int(h[(src[0]>>sh)&0xff]) == len(src) {
-			continue // constant byte lane
-		}
-		var off [256]int32
-		var sum int32
-		for b := 0; b < 256; b++ {
-			off[b] = sum
-			sum += h[b]
-		}
-		for _, v := range src {
-			b := (v >> sh) & 0xff
-			dst[off[b]] = v
-			off[b]++
-		}
-		src, dst = dst, src
-	}
-	return src, dst
-}
-
 // radixSortInt32 is the radix sort for non-negative int32 index lists.
 func radixSortInt32(a, tmp []int32) ([]int32, []int32) {
 	if len(a) < 64 {
@@ -370,7 +323,7 @@ func (pr *proto) trimScratch(i int) int64 {
 	sc.emitTmp = dropSlice(sc.emitTmp, bound, &n)
 	sc.ptmp = dropSlice(sc.ptmp, bound, &n)
 	pr.hooked[i] = dropSlice(pr.hooked[i], len(pr.aliveList[i]), &n)
-	if pr.fast {
+	if pr.fs != nil {
 		// Fast phases rebuild both lists from a fresh adjacency round.
 		sc.k1s = dropSlice(sc.k1s, bound, &n)
 		sc.nextNeed = dropSlice(sc.nextNeed, bound, &n)
@@ -428,11 +381,10 @@ type proto struct {
 	idToIdx []int32  // direct id -> index table when ids are dense
 	homeOf  []int32  // vertex index -> home compute index
 
-	// fs holds the cc-fast expansion state (nil on the Borůvka path). fast
+	// fs holds the cc-fast expansion state (nil on the Borůvka path). Fast
 	// phases skip the relabel-time proposal pre-combining: the next phase
 	// rebuilds known-sets from a fresh adjacency round instead.
-	fast bool
-	fs   *fastState
+	fs *fastState
 
 	active [][]workEdge // contracted edges held locally
 
@@ -711,7 +663,7 @@ func (pr *proto) prepProps(i int) {
 // finalizeProps orders node i's precollected non-witness minima by label.
 func (pr *proto) finalizeProps(i int) {
 	sc := &pr.scr[i]
-	sc.k1s, sc.k1tmp = radixSortUint64(sc.k1s, sc.k1tmp)
+	sc.k1s, sc.k1tmp = par.SerialSortUint64(sc.k1s, sc.k1tmp)
 }
 
 // startProps prepares node i's proposal minima at the start of propose.
@@ -820,7 +772,7 @@ func (pr *proto) propose() {
 					}
 				}
 				if grew {
-					ks, pr.scr[i].k1tmp = radixSortUint64(ks, pr.scr[i].k1tmp)
+					ks, pr.scr[i].k1tmp = par.SerialSortUint64(ks, pr.scr[i].k1tmp)
 					ks = compactMinK1(ks)
 				}
 				pr.scr[i].k1s = ks
@@ -1259,7 +1211,7 @@ func (pr *proto) relabel() error {
 				}
 			}
 			pr.aliveList[i] = keep
-			if !pr.fast {
+			if pr.fs == nil {
 				pr.collectNext(i, ws)
 			}
 			nt += pr.trimScratch(i)
@@ -1347,6 +1299,9 @@ func newProto(tr *topology.Tree, edges Placement, seed uint64, aware, witness bo
 	all, _ = pool.SortUint64(all, nil)
 	ids := slices.Compact(all)
 	nV := len(ids)
+	if err := checkVertexCount(nV); err != nil {
+		return nil, err
+	}
 
 	// Dense inputs (ids packed near 0..n) get a direct id -> index table;
 	// sparse or hashed id spaces fall back to binary search.

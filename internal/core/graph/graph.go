@@ -46,7 +46,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"topompc/internal/netsim"
@@ -130,6 +132,21 @@ func checkPlacement(t *topology.Tree, edges Placement) error {
 	if len(edges) != t.NumCompute() {
 		return fmt.Errorf("graph: placement covers %d nodes, tree has %d compute nodes",
 			len(edges), t.NumCompute())
+	}
+	return nil
+}
+
+// ErrTooManyVertices is returned when an input has more distinct vertices
+// than the int32 vertex indices of the contraction kernels can address:
+// labels, homes and cc-fast's packed a<<32|b pair keys all hold an index
+// in 32 bits.
+var ErrTooManyVertices = errors.New("graph: too many distinct vertices for int32 indices")
+
+// checkVertexCount rejects a renumbered vertex count that does not fit the
+// int32 index space.
+func checkVertexCount(nV int) error {
+	if nV > math.MaxInt32 {
+		return fmt.Errorf("%w: %d > %d", ErrTooManyVertices, nV, math.MaxInt32)
 	}
 	return nil
 }

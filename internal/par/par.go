@@ -264,7 +264,7 @@ func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	n := len(a)
 	shards := p.shardsFor(n / sortSerialThreshold)
 	if shards <= 1 {
-		return serialSortUint64(a, tmp)
+		return SerialSortUint64(a, tmp)
 	}
 	if cap(tmp) < n {
 		tmp = make([]uint64, n)
@@ -337,9 +337,13 @@ func (p *Pool) SortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	return src, dst
 }
 
-// serialSortUint64 is the single-threaded LSD radix fallback, identical in
-// shape to the per-home sort of the graph kernels.
-func serialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
+// SerialSortUint64 is the single-threaded LSD radix sort: SortUint64's
+// fallback below the parallel threshold, and the per-home sort of the
+// graph kernels, whose shards must not fork further. Byte lanes constant
+// across the slice are skipped (index-packed keys rarely use more than a
+// few). Returns the sorted slice and the scratch buffer, which may have
+// swapped roles.
+func SerialSortUint64(a, tmp []uint64) ([]uint64, []uint64) {
 	if len(a) < 64 {
 		slices.Sort(a)
 		return a, tmp
